@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
-import os
 import sys
 
 import numpy as np
@@ -178,7 +177,7 @@ def cmd_optimize(args):
     lp = LinearFreProblem(p, c)
     try:
         x_star, z_star = optimize_linear(lp)
-    except ValueError:
+    except InfeasibleError:
         print(json.dumps({"feasible": False}))
         return 2
     payload = {
@@ -331,9 +330,8 @@ def _add_common(sp):
     sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
     sp.add_argument("--round", type=int, default=None)
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int,
-                    default=int(os.environ.get("RELQ_CAP", 10 ** 6)))
+    sp.add_argument("--cap", type=int, default=None,
+                    help="cap on enumerated combinations (default: RELQ_CAP or 10^6)")
     sp.add_argument("--comp", default="max-min")
 
 
@@ -380,7 +378,6 @@ def build_parser():
     sp.add_argument("name")
     sp.add_argument("--blocks", type=int, default=5)
     sp.add_argument("--alpha", type=float, action="append", default=None)
-    sp.add_argument("--mode", choices=("graded", "absorbing"), default="graded")
     _add_common(sp)
     sp.set_defaults(func=cmd_demo)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grades import at_op
+from .grades import PRODUCT
 from .neutro import NeutroRelation
 from .relations import Relation
 
@@ -132,7 +132,7 @@ def estimate_block_relations(series: PartitionedSeries, tol=1e-9):
             target = series.r[ridx]
             if np.max(qs) < target - tol:
                 raise ValueError(f"row {ridx} target {target} unattainable from inputs")
-            P[row] = [at_op("max-product", qv, target) for qv in qs]
+            P[row] = PRODUCT.residuum(qs, target)
         # verification identity
         for row in range(len(blk)):
             got = float(np.max(P[row] * qs))

@@ -1,15 +1,20 @@
-"""Scalar truth-value algebra on the unit interval.
+"""Truth-value algebra on the unit interval, in scalar and array form.
 
 t-norms (with residua and Archimedean generators), implication operators,
 the residuation-style solution operators used to build greatest solutions
 of relational equations, scalar equation solving, equality indices and the
-distinguishability metric Q_t.
+distinguishability metric Q_t.  A t-norm's ``__call__``/``residuum`` take
+grades and ``apply``/``apply_residuum`` take arrays: exact numpy forms for
+the built-ins, the scalar method cell by cell in the base class (for
+generators with a scalar-only ``f``).  The implications take either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 TOL = 1e-9
 
@@ -18,6 +23,33 @@ def _check_unit(x, name="value"):
     if not (-TOL <= x <= 1 + TOL):
         raise ValueError(f"{name} {x!r} outside [0, 1]")
     return min(1.0, max(0.0, float(x)))
+
+
+def check_grades(values, name="grades"):
+    """Raise ValueError unless every cell is a finite grade in [0, 1] (within
+    TOL); NaN and ±inf fail the range test."""
+    ok = (values >= -TOL) & (values <= 1 + TOL)
+    if not np.all(ok):
+        bad = float(np.asarray(values)[~ok].flat[0])
+        raise ValueError(f"{name} must be finite and lie in [0, 1], got {bad!r}")
+
+
+def _bisect(low):
+    """60 halvings of [0, 1] toward the point where the monotone predicate
+    low(x) stops holding; returns the final (lo, hi) bracket."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if low(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _out(r):
+    """A plain float for scalar arguments, the array otherwise."""
+    return float(r) if np.ndim(r) == 0 else r
 
 
 # ---------------------------------------------------------------------------
@@ -34,31 +66,25 @@ class TNorm:
     def __call__(self, a, b):
         raise NotImplementedError
 
+    def apply(self, a, b):
+        """Array form of __call__: t in every broadcast cell of a and b."""
+        return np.asarray(np.frompyfunc(self.__call__, 2, 1)(a, b), dtype=float)
+
+    def apply_residuum(self, a, b):
+        """Array form of residuum."""
+        return np.asarray(np.frompyfunc(self.residuum, 2, 1)(a, b), dtype=float)
+
     def residuum(self, a, b):
         """sup{x : t(a, x) <= b}, by bisection unless overridden."""
         if self(a, 1.0) <= b + TOL:
             return 1.0
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if self(a, mid) <= b + 1e-15:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return _bisect(lambda x: self(a, x) <= b + 1e-15)[0]
 
     def min_section_solution(self, a, b):
         """Smallest x with t(a, x) >= b (requires a continuous section, a >= b)."""
         if b <= 0.0:
             return 0.0
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if self(a, mid) >= b - 1e-15:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return _bisect(lambda x: not self(a, x) >= b - 1e-15)[1]
 
     def __repr__(self):
         return f"<tnorm {self.name}>"
@@ -70,8 +96,13 @@ class MinTNorm(TNorm):
     def __call__(self, a, b):
         return a if a < b else b
 
+    def apply(self, a, b):
+        return np.minimum(a, b)
+
     def residuum(self, a, b):
-        return 1.0 if a <= b + TOL else b
+        return godel(a, b)
+
+    apply_residuum = residuum
 
     def min_section_solution(self, a, b):
         return b
@@ -84,10 +115,13 @@ class ProductTNorm(TNorm):
     def __call__(self, a, b):
         return a * b
 
+    apply = __call__
+
     def residuum(self, a, b):
-        if a <= b + TOL:
-            return 1.0
-        return b / a
+        below = a <= b + TOL  # divides only where a > b >= 0, never by 0
+        return _out(np.where(below, 1.0, b / np.where(below, 1.0, a)))
+
+    apply_residuum = residuum
 
     def min_section_solution(self, a, b):
         if b <= 0.0:
@@ -102,8 +136,13 @@ class LukasiewiczTNorm(TNorm):
     def __call__(self, a, b):
         return max(0.0, a + b - 1.0)
 
+    def apply(self, a, b):
+        return np.maximum(0.0, a + b - 1.0)
+
     def residuum(self, a, b):
-        return min(1.0, 1.0 - a + b)
+        return lukasiewicz_implication(a, b)
+
+    apply_residuum = residuum
 
     def min_section_solution(self, a, b):
         if b <= 0.0:
@@ -124,9 +163,14 @@ class DrasticTNorm(TNorm):
             return a
         return 0.0
 
+    def apply(self, a, b):
+        return np.where(a >= 1.0 - 1e-15, b, np.where(b >= 1.0 - 1e-15, a, 0.0))
+
     def residuum(self, a, b):
         # For a < 1 every x < 1 satisfies t(a,x)=0 <= b, so the sup is 1.
-        return b if a >= 1.0 - 1e-15 and a > b + TOL else 1.0
+        return _out(np.where((a >= 1.0 - 1e-15) & (a > b + TOL), b, 1.0))
+
+    apply_residuum = residuum
 
 
 class GeneratorTNorm(TNorm):
@@ -158,14 +202,7 @@ class GeneratorTNorm(TNorm):
             return 0.0
         if self._f_inv is not None:
             return min(1.0, max(0.0, self._f_inv(y)))
-        lo, hi = 0.0, 1.0  # f decreasing: f(hi)=0 <= y <= f(lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if self.f(mid) > y:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        return _bisect(lambda x: self.f(x) > y)[1]  # f decreasing, f(1) = 0 <= y
 
     def __call__(self, a, b):
         fa = self.f(a) if a > 0.0 else self.f_zero
@@ -206,24 +243,31 @@ def tnorm_apply(t: TNorm, a, b):
 # ---------------------------------------------------------------------------
 
 def godel(a, b):
-    """Goedel implication: 1 if a <= b else b."""
-    return 1.0 if a <= b + TOL else b
+    """Goedel implication: 1 if a <= b else b.  It is also the residuum of
+    min and the greatest-solution operator of max-min systems."""
+    return _out(np.where(a <= b + TOL, 1.0, b))
+
+
+sigma_alpha = godel
 
 
 def lukasiewicz_implication(a, b):
-    return min(1.0, 1.0 - a + b)
+    return _out(np.minimum(1.0, 1.0 - a + b))
 
 
 def kleene_dienes(a, b):
-    return max(1.0 - a, b)
+    return _out(np.maximum(1.0 - a, b))
 
 
 def crisp_material(a, b):
     """Material implication on {0, 1} only."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
     for v in (a, b):
-        if abs(v) > TOL and abs(v - 1.0) > TOL:
-            raise ValueError(f"crisp material implication needs binary input, got {v!r}")
-    return 0.0 if a > 0.5 and b < 0.5 else 1.0
+        off = (np.abs(v) > TOL) & (np.abs(v - 1.0) > TOL)
+        if np.any(off):
+            raise ValueError("crisp material implication needs binary input, "
+                             f"got {float(v[off].flat[0])!r}")
+    return _out(np.where((a > 0.5) & (b < 0.5), 0.0, 1.0))
 
 
 class Residuum:
@@ -233,7 +277,7 @@ class Residuum:
         self.t = t
 
     def __call__(self, a, b):
-        return self.t.residuum(a, b)
+        return _out(self.t.apply_residuum(a, b))
 
     def __repr__(self):
         return f"<residuum of {self.t.name}>"
@@ -271,28 +315,13 @@ def implication_apply(imp, a, b):
 # Solution operators
 # ---------------------------------------------------------------------------
 
-def sigma_alpha(a, b):
-    """Greatest-solution operator for max-min: 1 if a <= b else b."""
-    return 1.0 if a <= b + TOL else b
-
-
-def beta_op(a, b):
-    """Strict variant: 1 if a < b else b."""
-    return 1.0 if a < b - TOL else b
-
-
 def at_op(composition, a, b):
-    """Greatest scalar x with comp(x, a) <= b, for max-min / max-product.
-
-    composition: "max-min" or "max-product".
-    """
-    if composition == "max-min":
-        return sigma_alpha(a, b)
-    if composition == "max-product":
-        if a <= b + TOL:
-            return 1.0
-        return b / a
-    raise ValueError(f"at_op supports max-min/max-product, got {composition!r}")
+    """Greatest x with comp(x, a) <= b, for max-min / max-product: the
+    residuum of min or product."""
+    t = {"max-min": MIN, "max-product": PRODUCT}.get(composition)
+    if t is None:
+        raise ValueError(f"at_op supports max-min/max-product, got {composition!r}")
+    return t.residuum(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +383,8 @@ def subsethood(t: TNorm, A, B):
     """inf_x w_t(A(x), B(x)) — graded inclusion of A in B."""
     if len(A) != len(B):
         raise ValueError(f"length mismatch: {len(A)} vs {len(B)}")
-    deg = 1.0
-    for a, b in zip(A, B):
-        deg = min(deg, t.residuum(float(a), float(b)))
-    return deg
+    A, B = np.asarray(A, float), np.asarray(B, float)
+    return float(np.min(t.apply_residuum(A, B), initial=1.0))
 
 
 def q_metric(t: TNorm, A, B):

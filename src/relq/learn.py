@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grades import TOL, MIN, TNorm
+from .grades import MIN, TOL, TNorm, check_grades, godel
+from .relations import inf_implication_compose, sup_t_compose
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,8 @@ class TrainingSet:
         object.__setattr__(self, "targets", np.atleast_2d(np.asarray(self.targets, float)))
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ValueError("inputs and targets must have the same number of rows")
+        check_grades(self.inputs, "inputs")
+        check_grades(self.targets, "targets")
 
     @property
     def p(self):
@@ -62,15 +65,9 @@ class TrainResult:
         return self.error_trace[-1] if self.error_trace else None
 
 
-def _outputs(t: TNorm, a, W):
-    """Row image a ∘ W under sup-t."""
-    n, m = W.shape
-    return np.array([max(t(a[k], W[k, j]) for k in range(n)) for j in range(m)])
-
-
 def sup_t_image(t: TNorm, A, W):
-    A = np.atleast_2d(np.asarray(A, float))
-    return np.array([_outputs(t, a, W) for a in A])
+    """Row images A ∘ W under sup-t."""
+    return sup_t_compose(t, np.atleast_2d(np.asarray(A, float)), np.asarray(W, float))
 
 
 def training_error(t: TNorm, ts: TrainingSet, W):
@@ -88,22 +85,13 @@ def _delta_rule(ts: TrainingSet, cfg: TrainerConfig, t: TNorm):
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
         epoch_changed = False
-        for i in range(ts.p):
-            a = ts.inputs[i]
-            b = ts.targets[i]
+        for a, b in zip(ts.inputs, ts.targets):
             for _ in range(cfg.max_epochs):
-                out = _outputs(t, a, W)
-                delta = out - b
-                fired = False
-                for j in range(ts.m):
-                    if delta[j] <= cfg.epsilon:
-                        continue
-                    for k in range(ts.n):
-                        if t(W[k, j], a[k]) > b[j] + TOL:
-                            W[k, j] = max(0.0, W[k, j] - cfg.eta * delta[j])
-                            fired = True
-                if not fired:
+                delta = sup_t_image(t, a, W)[0] - b
+                fire = (delta > cfg.epsilon) & (t.apply(W, a[:, None]) > b + TOL)
+                if not fire.any():
                     break
+                W[fire] = np.maximum(0.0, W - cfg.eta * delta)[fire]
                 epoch_changed = True
         trace.append(training_error(t, ts, W))
         if trace[-1] <= cfg.epsilon or not epoch_changed:
@@ -141,14 +129,7 @@ def delta_rule_J(ts: TrainingSet, cfg: TrainerConfig) -> TrainResult:
 def delta_rule_B(ts: TrainingSet) -> TrainResult:
     """One sweep per sample: w_kj = min of the targets b_ij over samples
     with a_ik > b_ij (empty set gives 1).  Order-free."""
-    W = np.ones((ts.n, ts.m))
-    for i in range(ts.p):
-        a = ts.inputs[i]
-        b = ts.targets[i]
-        for k in range(ts.n):
-            for j in range(ts.m):
-                if a[k] > b[j] + TOL and b[j] < W[k, j]:
-                    W[k, j] = b[j]
+    W = inf_implication_compose(godel, ts.inputs.T, ts.targets)
     err = training_error(MIN, ts, W)
     return TrainResult(W, err <= TOL, ts.p, [err])
 
@@ -166,19 +147,15 @@ def delta_rule_K(ts: TrainingSet, t: TNorm) -> RuleKResult:
     W = np.ones((ts.n, ts.m))
     fallback = []
     for i in range(ts.p):
-        a = ts.inputs[i]
+        a = ts.inputs[i][:, None]
         b = ts.targets[i]
-        for k in range(ts.n):
-            for j in range(ts.m):
-                cand = t.residuum(a[k], b[j])
-                if t(W[k, j], a[k]) > b[j] + TOL and \
-                        abs(t(cand, a[k]) - b[j]) > 1e-7:
-                    fallback.append((i, k, j))
-                # clamp on the residuum itself rather than on the violation
-                # test so the final weight is bit-for-bit the minimum of the
-                # per-sample residua (the greatest solution)
-                if cand < W[k, j]:
-                    W[k, j] = cand
+        cand = t.apply_residuum(a, b)
+        unrepaired = (t.apply(W, a) > b + TOL) & (np.abs(t.apply(cand, a) - b) > 1e-7)
+        fallback += [(i, int(k), int(j)) for k, j in np.argwhere(unrepaired)]
+        # clamp on the residuum itself rather than on the violation test so
+        # the final weight is bit-for-bit the minimum of the per-sample
+        # residua (the greatest solution)
+        W = np.minimum(W, cand)
     err = training_error(t, ts, W)
     return RuleKResult(W, err <= 1e-7, ts.p, [err], fallback)
 
@@ -186,12 +163,6 @@ def delta_rule_K(ts: TrainingSet, t: TNorm) -> RuleKResult:
 # ---------------------------------------------------------------------------
 # Smooth-derivative gradient trainer (max-min network)
 # ---------------------------------------------------------------------------
-
-def _smooth_coefficient(x_s, w_sj, max2):
-    if x_s < w_sj:
-        return x_s if x_s >= max2 else x_s * x_s
-    return 1.0 if w_sj >= max2 else w_sj
-
 
 def smooth_derivative_train(ts: TrainingSet, cfg: TrainerConfig | None = None) -> TrainResult:
     """Gradient descent on E = 1/2 Σ (T_j − O_j)² for O_j = max_k min(x_k, w_kj),
@@ -204,20 +175,17 @@ def smooth_derivative_train(ts: TrainingSet, cfg: TrainerConfig | None = None) -
     converged = False
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        for i in range(ts.p):
-            x = ts.inputs[i]
-            targ = ts.targets[i]
-            for j in range(ts.m):
-                vals = np.minimum(x, W[:, j])
-                O_j = float(np.max(vals))
-                delta_j = targ[j] - O_j
-                if abs(delta_j) <= cfg.epsilon:
-                    continue
-                for s in range(ts.n):
-                    others = np.delete(vals, s)
-                    max2 = float(np.max(others)) if others.size else 0.0
-                    C = _smooth_coefficient(x[s], W[s, j], max2)
-                    W[s, j] = min(1.0, max(0.0, W[s, j] + cfg.eta * delta_j * C))
+        for x, targ in zip(ts.inputs, ts.targets):
+            x = x[:, None]
+            vals = np.minimum(x, W)
+            delta = targ - vals.max(axis=0)
+            # max2[s, j]: the largest of vals[k, j] over the other rows k != s
+            top = np.sort(vals, axis=0)
+            second = top[-2] if ts.n > 1 else 0.0
+            max2 = np.where(vals == top[-1], second, top[-1])
+            C = np.where(x < W, np.where(x >= max2, x, x * x), np.where(W >= max2, 1.0, W))
+            step = np.minimum(1.0, np.maximum(0.0, W + cfg.eta * delta * C))
+            W = np.where(np.abs(delta) > cfg.epsilon, step, W)
         trace.append(training_error(MIN, ts, W))
         if trace[-1] <= cfg.epsilon:
             converged = True

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grades import TOL, sigma_alpha
+from .grades import TOL, godel
 
 MODES = ("graded", "absorbing")
 
@@ -286,7 +286,7 @@ def _neutro_at(a: NeutroGrade, b: NeutroGrade) -> NeutroGrade:
     incomparable (cross-kind) pairs."""
     if a.kind == b.kind:
         if a.is_real:
-            return R(sigma_alpha(a.coeff, b.coeff))
+            return R(godel(a.coeff, b.coeff))
         if a.coeff <= b.coeff + TOL:
             return R(1.0)
         return b

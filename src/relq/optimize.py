@@ -8,15 +8,14 @@ Pareto archive, with fuzzy c-means available to cluster the efficient set.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grades import TOL
 from .relations import MaxMin, as_grid
 from .solve import (
-    FreProblem, InfeasibleError, attain_value, binding_sets, max_solution,
+    FreProblem, InfeasibleError, attain_value, attains, binding_sets, max_solution,
 )
 
 
@@ -115,18 +114,6 @@ def reduce_problem(p: LinearFreProblem) -> ReductionState:
     return ReductionState(fixed, sorted(removed), forced, subproblems, x_hat, sets)
 
 
-def _assemble(p: LinearFreProblem, f, x_hat, sets, vals):
-    """Candidate solution: x_hat on negative-cost rows, chosen binding
-    values elsewhere."""
-    x = np.zeros(p.base.m)
-    for i in range(p.base.m):
-        if p.c[i] < 0.0:
-            x[i] = x_hat[i]
-    for j, i in enumerate(f):
-        x[i] = max(x[i], vals[(i, j)])
-    return x
-
-
 def optimize_linear(p: LinearFreProblem, use_bound=True):
     """Exact minimum of c·x over the solution set.
 
@@ -188,28 +175,6 @@ def optimize_linear(p: LinearFreProblem, use_bound=True):
     return x_star, float(np.dot(c, x_star))
 
 
-def brute_force_linear(p: LinearFreProblem, cap=10 ** 4):
-    """Oracle: enumerate every binding combination and take the best."""
-    base = p.base
-    x_hat = max_solution(base)
-    if x_hat is None:
-        raise InfeasibleError("infeasible")
-    sets = binding_sets(base, x_hat)
-    size = 1
-    for s in sets:
-        size *= max(len(s), 1)
-    if size > cap:
-        raise RuntimeError(f"combination count {size} exceeds cap {cap}")
-    vals = {(i, j): attain_value(base, i, j) for j, s in enumerate(sets) for i in s}
-    best_x, best_z = None, np.inf
-    for f in itertools.product(*sets):
-        x = _assemble(p, f, x_hat, sets, vals)
-        z = float(np.dot(p.c, x))
-        if z < best_z - 1e-12:
-            best_x, best_z = x, z
-    return best_x, best_z
-
-
 # ---------------------------------------------------------------------------
 # Structure helpers
 # ---------------------------------------------------------------------------
@@ -267,26 +232,22 @@ class GaConfig:
                 raise ValueError("probabilities must lie in [0, 1]")
 
 
-def _require_maxmin(p: FreProblem):
-    if not isinstance(p.composition, MaxMin):
-        raise ValueError("genetic operators are defined for max-min systems only")
-
-
-def _repair(x, p: FreProblem, x_hat, sets, vals, rng):
-    """Project a vector into the solution set: clamp into [0, x_hat] and
-    raise a binding row for every unattained constraint."""
-    x = np.clip(x, 0.0, x_hat)
-    t = p.tnorm()
+def _raise_unattained(x, p: FreProblem, vals, pick):
+    """Walk the constraints in order; for each one no row attains under the
+    current x, raise the row pick(j) to its attaining value (in place)."""
+    missed = ~attains(p, x).any(axis=0)
     for j in range(p.n):
-        if not any(abs(t(x[i], p.A[i, j]) - p.b[j]) <= TOL for i in range(p.m)):
-            i = sets[j][int(rng.integers(len(sets[j])))]
+        if missed[j]:
+            i = pick(j)
             x[i] = max(x[i], vals[(i, j)])
+            missed = ~attains(p, x).any(axis=0)
     return x
 
 
 class _GaContext:
     def __init__(self, p: FreProblem):
-        _require_maxmin(p)
+        if not isinstance(p.composition, MaxMin):
+            raise ValueError("genetic operators are defined for max-min systems only")
         x_hat = max_solution(p)
         if x_hat is None:
             raise InfeasibleError("infeasible")
@@ -299,19 +260,23 @@ class _GaContext:
             (i, j): attain_value(self.reduced, i, j)
             for j, s in enumerate(self.sets) for i in s
         }
-        lb = np.zeros(p.m)
-        for i in range(p.m):
-            cand = [p.b[j] for j in range(p.n) if A_red[i, j] >= p.b[j] - TOL]
-            lb[i] = max(cand) if cand else 0.0
+        # per row, the largest b_j the reduced row can reach (0 when none)
+        reach = A_red >= p.b - TOL
+        lb = np.where(reach.any(axis=1), np.where(reach, p.b, -np.inf).max(axis=1), 0.0)
         self.lb_max = np.minimum(lb, x_hat)
 
     def repair(self, x, rng):
-        return _repair(x, self.problem, self.x_hat, self.sets, self.vals, rng)
+        """Project a vector into the solution set: clamp into [0, x_hat] and
+        raise a binding row for every unattained constraint."""
+        sets = self.sets
+        return _raise_unattained(np.clip(x, 0.0, self.x_hat), self.problem, self.vals,
+                                 lambda j: sets[j][int(rng.integers(len(sets[j])))])
 
 
-def ga_initialize(p: FreProblem, cfg: GaConfig):
-    """Population sampled in the box [LB_max, x_hat] (after equivalence
-    reduction every such point is feasible); repaired as a safety net."""
+def _start(p: FreProblem, cfg: GaConfig):
+    """Context, generator and initial population of a GA run: points sampled
+    in the box [LB_max, x_hat] (after equivalence reduction every such point
+    is feasible), repaired as a safety net."""
     ctx = _GaContext(p)
     rng = np.random.default_rng(cfg.rng_seed)
     pop = []
@@ -321,7 +286,12 @@ def ga_initialize(p: FreProblem, cfg: GaConfig):
         if not p.is_solution(x):
             x = ctx.repair(x, rng)
         pop.append(x)
-    return pop
+    return ctx, rng, pop
+
+
+def ga_initialize(p: FreProblem, cfg: GaConfig):
+    """Initial GA population: feasible points in the box [LB_max, x_hat]."""
+    return _start(p, cfg)[2]
 
 
 def ga_mutate(x, p: FreProblem, rng, ctx: _GaContext | None = None):
@@ -337,12 +307,10 @@ def ga_mutate(x, p: FreProblem, rng, ctx: _GaContext | None = None):
     k = decrease[int(rng.integers(len(decrease)))]
     x[k] = x[k] * rng.random()
     # repair broken constraints, preferring rows other than the decreased one
-    t = p.tnorm()
-    for j in range(p.n):
-        if not any(abs(t(x[i], p.A[i, j]) - p.b[j]) <= TOL for i in range(p.m)):
-            pool = [i for i in ctx.sets[j] if i != k] or ctx.sets[j]
-            i = pool[int(rng.integers(len(pool)))]
-            x[i] = max(x[i], ctx.vals[(i, j)])
+    def pick(j):
+        pool = [i for i in ctx.sets[j] if i != k] or ctx.sets[j]
+        return pool[int(rng.integers(len(pool)))]
+    _raise_unattained(x, p, ctx.vals, pick)
     if not p.is_solution(x):
         x = ctx.repair(x, rng)
     return x
@@ -375,37 +343,35 @@ def _rank_probabilities(n, q):
     return probs / probs.sum()
 
 
+def _breed(pop, order, nxt, ctx: _GaContext, cfg: GaConfig, rng):
+    """Fill nxt up to the population size with the children of parents
+    drawn by rank (order lists pop best first): crossover, then mutation,
+    each with its configured probability."""
+    n = cfg.population_size
+    probs = _rank_probabilities(n, cfg.selection_q)
+    while len(nxt) < n:
+        a = pop[order[int(rng.choice(n, p=probs))]]
+        b = pop[order[int(rng.choice(n, p=probs))]]
+        if rng.random() < cfg.crossover_prob:
+            c1, c2 = ga_crossover(a, b, ctx.x_hat, rng, ctx=ctx)
+        else:
+            c1, c2 = a.copy(), b.copy()
+        for child in (c1, c2):
+            if rng.random() < cfg.mutation_prob:
+                child = ga_mutate(child, ctx.problem, rng, ctx=ctx)
+            nxt.append(child)
+    return nxt[:n]
+
+
 def optimize_nonlinear_ga(p: FreProblem, f, cfg: GaConfig | None = None):
     """Minimize an arbitrary objective over the solution set by GA."""
     cfg = cfg or GaConfig()
-    ctx = _GaContext(p)
-    rng = np.random.default_rng(cfg.rng_seed)
-    pop = []
-    for _ in range(cfg.population_size):
-        u = rng.random(p.m)
-        x = ctx.lb_max + u * (ctx.x_hat - ctx.lb_max)
-        if not p.is_solution(x):
-            x = ctx.repair(x, rng)
-        pop.append(x)
+    ctx, rng, pop = _start(p, cfg)
     fit = [float(f(x)) for x in pop]
     best_i = int(np.argmin(fit))
     best_x, best_f = pop[best_i].copy(), fit[best_i]
-    probs = _rank_probabilities(cfg.population_size, cfg.selection_q)
     for _ in range(cfg.generations):
-        order = np.argsort(fit)
-        nxt = [best_x.copy()]
-        while len(nxt) < cfg.population_size:
-            a = pop[order[int(rng.choice(cfg.population_size, p=probs))]]
-            b = pop[order[int(rng.choice(cfg.population_size, p=probs))]]
-            if rng.random() < cfg.crossover_prob:
-                c1, c2 = ga_crossover(a, b, ctx.x_hat, rng, ctx=ctx)
-            else:
-                c1, c2 = a.copy(), b.copy()
-            for child in (c1, c2):
-                if rng.random() < cfg.mutation_prob:
-                    child = ga_mutate(child, p, rng, ctx=ctx)
-                nxt.append(child)
-        pop = nxt[:cfg.population_size]
+        pop = _breed(pop, np.argsort(fit), [best_x.copy()], ctx, cfg, rng)
         fit = [float(f(x)) for x in pop]
         gen_i = int(np.argmin(fit))
         if fit[gen_i] < best_f:
@@ -443,8 +409,6 @@ def optimize_multiobjective(p: FreProblem, fs, cfg: GaConfig | None = None):
     if len(fs) < 2:
         raise ValueError("need at least two objectives")
     cfg = cfg or GaConfig()
-    ctx = _GaContext(p)
-    rng = np.random.default_rng(cfg.rng_seed)
     archive = ParetoArchive()
 
     def evaluate(x):
@@ -452,33 +416,13 @@ def optimize_multiobjective(p: FreProblem, fs, cfg: GaConfig | None = None):
         archive.add(x, z)
         return z
 
-    pop = []
-    for _ in range(cfg.population_size):
-        u = rng.random(p.m)
-        x = ctx.lb_max + u * (ctx.x_hat - ctx.lb_max)
-        if not p.is_solution(x):
-            x = ctx.repair(x, rng)
-        pop.append(x)
+    ctx, rng, pop = _start(p, cfg)
     zs = [evaluate(x) for x in pop]
-    probs = _rank_probabilities(cfg.population_size, cfg.selection_q)
     for _ in range(cfg.generations):
         w = rng.random(len(fs))
         w /= w.sum()
         scal = [float(np.dot(w, z)) for z in zs]
-        order = np.argsort(scal)
-        nxt = []
-        while len(nxt) < cfg.population_size:
-            a = pop[order[int(rng.choice(cfg.population_size, p=probs))]]
-            b = pop[order[int(rng.choice(cfg.population_size, p=probs))]]
-            if rng.random() < cfg.crossover_prob:
-                c1, c2 = ga_crossover(a, b, ctx.x_hat, rng, ctx=ctx)
-            else:
-                c1, c2 = a.copy(), b.copy()
-            for child in (c1, c2):
-                if rng.random() < cfg.mutation_prob:
-                    child = ga_mutate(child, p, rng, ctx=ctx)
-                nxt.append(child)
-        pop = nxt[:cfg.population_size]
+        pop = _breed(pop, np.argsort(scal), [], ctx, cfg, rng)
         zs = [evaluate(x) for x in pop]
     return archive
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grades import TOL, godel
-from .relations import MaxMin, Relation, as_grid, compose
+from .grades import MIN, TOL, godel
+from .relations import (MaxMin, Relation, as_grid, compose, inf_implication_compose,
+                        sup_t_compose)
 
 
 # ---------------------------------------------------------------------------
@@ -50,23 +51,13 @@ def _grid_of(R):
 def triangle_product_subjects(R, imp):
     """U[j,m] = mean over criteria k of imp(R[k,j], R[k,m])."""
     grid = _grid_of(R)
-    nk, ns = grid.shape
-    U = np.empty((ns, ns))
-    for j in range(ns):
-        for m in range(ns):
-            U[j, m] = sum(imp(grid[k, j], grid[k, m]) for k in range(nk)) / nk
-    return Relation(U)
+    # summed one criterion at a time, in order, like a scalar running sum
+    return Relation(sum(imp(row[:, None], row[None, :]) for row in grid) / grid.shape[0])
 
 
 def triangle_product_criteria(R, imp):
     """V[i,k] = mean over subjects j of imp(R[i,j], R[k,j])."""
-    grid = _grid_of(R)
-    nk, ns = grid.shape
-    V = np.empty((nk, nk))
-    for i in range(nk):
-        for k in range(nk):
-            V[i, k] = sum(imp(grid[i, j], grid[k, j]) for j in range(ns)) / ns
-    return Relation(V)
+    return triangle_product_subjects(_grid_of(R).T, imp)
 
 
 def checklist_product(marks, imp):
@@ -75,12 +66,7 @@ def checklist_product(marks, imp):
     if not np.all((np.abs(grid) <= TOL) | (np.abs(grid - 1) <= TOL)):
         raise ValueError("checklist marks must be binary")
     shares = grid.mean(axis=1)
-    n = shares.shape[0]
-    W = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            W[i, j] = imp(shares[i], shares[j])
-    return Relation(W)
+    return Relation(imp(shares[:, None], shares[None, :]))
 
 
 @dataclass(frozen=True)
@@ -190,15 +176,9 @@ def explain_at_least_k(R, Mplus, kk, imp=godel):
     nd, nm = grid.shape
     if kk > nm:
         raise ValueError("k exceeds the number of manifestations")
-    out = np.ones(nd)
     if kk == 0:
-        return out
-    for d in range(nd):
-        degs = sorted(
-            (imp(Mplus[i], grid[d, i]) for i in range(nm)), reverse=True
-        )
-        out[d] = degs[kk - 1]
-    return out
+        return np.ones(nd)
+    return np.sort(imp(Mplus, grid), axis=1)[:, nm - kk]
 
 
 # ---------------------------------------------------------------------------
@@ -222,27 +202,17 @@ def mamdani_control(rules, x_input, method="simple"):
     for X, U in rules:
         if X.shape[0] != nx or U.shape[0] != nu:
             raise ValueError("universe mismatch between input and rules")
+    Xs = np.array([X for X, _ in rules])
+    Us = np.array([U for _, U in rules])
     if method == "simple":
-        out = np.zeros(nu)
-        for X, U in rules:
-            lam = float(np.max(np.minimum(x_input, X)))
-            out = np.maximum(out, np.minimum(lam, U))
-        return out
+        possibility = sup_t_compose(MIN, Xs, x_input[:, None])[:, 0]
+        return sup_t_compose(MIN, possibility[None, :], Us)[0]
     if method == "sup-t-fre":
-        R = np.ones((nx, nu))
-        for X, U in rules:
-            for a in range(nx):
-                for u in range(nu):
-                    R[a, u] = min(R[a, u], godel(X[a], U[u]))
+        R = inf_implication_compose(godel, Xs.T, Us)
         return compose(MaxMin(), x_input.reshape(1, -1), R).cells[0]
     if method == "adjoint-godel":
-        R = np.zeros((nx, nu))
-        for X, U in rules:
-            R = np.maximum(R, np.minimum(X[:, None], U[None, :]))
-        out = np.empty(nu)
-        for u in range(nu):
-            out[u] = min(godel(x_input[a], R[a, u]) for a in range(nx))
-        return out
+        R = sup_t_compose(MIN, Xs.T, Us)
+        return inf_implication_compose(godel, x_input.reshape(1, -1), R)[0]
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -2,7 +2,12 @@
 
 A Relation is a thin immutable wrapper around a float matrix with all cells
 in [0, 1].  Compositions are parameterized: max-min, max-product, sup-t for
-an arbitrary t-norm, and inf-implication.
+an arbitrary t-norm, and inf-implication.  Two array kernels compute every
+composition: ``sup_t_compose`` (max over j of t(P[i,j], Q[j,k]), through
+the t-norm's ``apply``) and ``inf_implication_compose`` (min over j of
+imp(P[i,j], Q[j,k]); with a residuum as imp this is the Sanchez greatest
+solution).  Both work on slices of the middle axis, so a temporary holds
+at most ``CHUNK_CELLS`` cells whatever the shapes.
 """
 
 from __future__ import annotations
@@ -11,11 +16,12 @@ import json
 
 import numpy as np
 
-from .grades import TOL, TNorm, MIN, godel
+from .grades import MIN, PRODUCT, TOL, TNorm, check_grades, godel
 
 __all__ = [
     "Relation", "MaxMin", "MaxProduct", "SupT", "InfImplication",
-    "composition_by_name", "compose", "relational_join", "transpose",
+    "composition_by_name", "compose", "sup_t_compose", "inf_implication_compose",
+    "relational_join", "transpose",
     "alpha_cut", "relation_properties", "transitive_closure", "identity",
 ]
 
@@ -31,8 +37,7 @@ class Relation:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"relation must be a 2-d grid, got shape {arr.shape}")
-        if np.any(arr < -TOL) or np.any(arr > 1 + TOL):
-            raise ValueError("relation cells must lie in [0, 1]")
+        check_grades(arr, "relation cells")
         arr = np.clip(arr, 0.0, 1.0)
         arr.flags.writeable = False
         object.__setattr__(self, "cells", arr)
@@ -114,6 +119,7 @@ def identity(n):
 
 class MaxMin:
     kind = "max-min"
+    tnorm = MIN
 
     def __repr__(self):
         return "MaxMin"
@@ -121,6 +127,7 @@ class MaxMin:
 
 class MaxProduct:
     kind = "max-product"
+    tnorm = PRODUCT
 
     def __repr__(self):
         return "MaxProduct"
@@ -137,6 +144,9 @@ class SupT:
 
 
 class InfImplication:
+    """inf_j imp(P[i,j], Q[j,k]); imp must accept numpy arrays elementwise,
+    as every implication in relq.grades does."""
+
     kind = "inf-implication"
 
     def __init__(self, implication=godel):
@@ -158,37 +168,42 @@ def composition_by_name(name):
     raise ValueError(f"unknown composition {name!r}")
 
 
+# Largest temporary (in cells, 8 MB of float64) a kernel builds at once.
+CHUNK_CELLS = 1 << 20
+
+
+def _chunked(op, reduce, P, Q):
+    """reduce over j of op(P[i,j], Q[j,k]), a slice of j at a time."""
+    rows, mid = P.shape
+    cols = Q.shape[1]
+    step = max(1, CHUNK_CELLS // max(rows * cols, 1))
+    out = reduce.reduce(op(P[:, :step, None], Q[None, :step, :]), axis=1)
+    for s in range(step, mid, step):
+        reduce(out, reduce.reduce(op(P[:, s:s + step, None], Q[None, s:s + step, :]),
+                                  axis=1), out=out)
+    return out
+
+
+def sup_t_compose(t: TNorm, P, Q):
+    """Array kernel: out[i,k] = max_j t(P[i,j], Q[j,k]) on float grids."""
+    return _chunked(t.apply, np.maximum, P, Q)
+
+
+def inf_implication_compose(imp, P, Q):
+    """Array kernel: out[i,k] = min_j imp(P[i,j], Q[j,k]) on float grids."""
+    return _chunked(imp, np.minimum, P, Q)
+
+
 def compose(spec, P, Q):
     """Compose two relations: cell (i,k) = agg_j op(P[i,j], Q[j,k])."""
     P, Q = as_grid(P), as_grid(Q)
     if P.shape[1] != Q.shape[0]:
         raise ValueError(f"dimension mismatch: {P.shape} cannot compose with {Q.shape}")
-    if isinstance(spec, MaxMin):
-        out = np.max(np.minimum(P[:, :, None], Q[None, :, :]), axis=1)
-    elif isinstance(spec, MaxProduct):
-        out = np.max(P[:, :, None] * Q[None, :, :], axis=1)
-    elif isinstance(spec, SupT):
-        t = spec.tnorm
-        if t.name == "min":
-            out = np.max(np.minimum(P[:, :, None], Q[None, :, :]), axis=1)
-        elif t.name == "product":
-            out = np.max(P[:, :, None] * Q[None, :, :], axis=1)
-        elif t.name == "lukasiewicz":
-            out = np.max(np.maximum(0.0, P[:, :, None] + Q[None, :, :] - 1.0), axis=1)
-        else:
-            out = np.empty((P.shape[0], Q.shape[1]))
-            for i in range(P.shape[0]):
-                for k in range(Q.shape[1]):
-                    out[i, k] = max(t(P[i, j], Q[j, k]) for j in range(P.shape[1]))
-    elif isinstance(spec, InfImplication):
-        imp = spec.implication
-        out = np.empty((P.shape[0], Q.shape[1]))
-        for i in range(P.shape[0]):
-            for k in range(Q.shape[1]):
-                out[i, k] = min(imp(P[i, j], Q[j, k]) for j in range(P.shape[1]))
-    else:
-        raise ValueError(f"unknown composition spec {spec!r}")
-    return Relation(out)
+    if isinstance(spec, (MaxMin, MaxProduct, SupT)):
+        return Relation(sup_t_compose(spec.tnorm, P, Q))
+    if isinstance(spec, InfImplication):
+        return Relation(inf_implication_compose(spec.implication, P, Q))
+    raise ValueError(f"unknown composition spec {spec!r}")
 
 
 def relational_join(P, Q):

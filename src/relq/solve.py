@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grades import (
-    TOL, MIN, PRODUCT, TNorm, godel, sigma_alpha,
-)
+from .grades import TOL, TNorm, check_grades, godel
 from .relations import (
-    MaxMin, MaxProduct, SupT, Relation, as_grid, compose,
+    MaxMin, MaxProduct, SupT, Relation, as_grid, compose, inf_implication_compose,
+    sup_t_compose,
 )
 
 DEFAULT_CAP = 10 ** 6
@@ -27,9 +26,15 @@ DEFAULT_CAP = 10 ** 6
 def combinatorial_cap():
     """Default cap on enumerated binding combinations (env RELQ_CAP overrides)."""
     env = os.environ.get("RELQ_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"RELQ_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 class CapExceeded(RuntimeError):
@@ -59,6 +64,8 @@ class FreProblem:
             raise ValueError(
                 f"A has {self.A.shape[1]} columns but b has {self.b.shape[0]} entries"
             )
+        check_grades(self.A, "A")
+        check_grades(self.b, "b")
 
     @property
     def m(self):
@@ -70,15 +77,11 @@ class FreProblem:
 
     def tnorm(self) -> TNorm:
         comp = self.composition
-        if isinstance(comp, MaxMin):
-            return MIN
-        if isinstance(comp, MaxProduct):
-            return PRODUCT
-        if isinstance(comp, SupT):
-            if not comp.tnorm.continuous:
-                raise ValueError("solver compositions require a continuous t-norm")
-            return comp.tnorm
-        raise ValueError(f"unsupported composition {comp!r}")
+        if not isinstance(comp, (MaxMin, MaxProduct, SupT)):
+            raise ValueError(f"unsupported composition {comp!r}")
+        if not comp.tnorm.continuous:
+            raise ValueError("solver compositions require a continuous t-norm")
+        return comp.tnorm
 
     def lhs(self, x):
         """Evaluate x ∘ A."""
@@ -111,24 +114,21 @@ class SolutionSet:
 
 def max_solution(p: FreProblem, tol=TOL):
     """Sanchez greatest-solution candidate; None when the system is infeasible."""
-    t = p.tnorm()
-    x_hat = np.empty(p.m)
-    for i in range(p.m):
-        x_hat[i] = min(t.residuum(p.A[i, j], p.b[j]) for j in range(p.n))
+    x_hat = inf_implication_compose(p.tnorm().apply_residuum, p.A, p.b[:, None])[:, 0]
     if p.is_solution(x_hat, tol):
         return x_hat
     return None
 
 
+def attains(p: FreProblem, x, tol=TOL):
+    """Boolean m×n grid: row i attains constraint j, |t(x_i, a_ij) − b_j| <= tol."""
+    x = np.asarray(x, float)
+    return np.abs(p.tnorm().apply(x[:, None], p.A) - p.b) <= tol
+
+
 def binding_sets(p: FreProblem, x_hat, tol=TOL):
     """I_j = rows that attain constraint j at equality under x_hat."""
-    t = p.tnorm()
-    sets = []
-    for j in range(p.n):
-        sets.append(
-            [i for i in range(p.m) if abs(t(x_hat[i], p.A[i, j]) - p.b[j]) <= tol]
-        )
-    return sets
+    return [np.flatnonzero(col).tolist() for col in attains(p, x_hat, tol).T]
 
 
 def attain_value(p: FreProblem, i, j):
@@ -344,11 +344,8 @@ def classify_attainability(x, p: FreProblem, tol=TOL):
     x = np.asarray(x, float)
     if not p.is_solution(x, tol):
         raise ValueError("x is not a solution of the system")
-    t = p.tnorm()
-    labels = []
-    for j in range(p.n):
-        hit = any(abs(t(x[i], p.A[i, j]) - p.b[j]) <= tol for i in range(p.m))
-        labels.append("attainable" if hit else "unattainable")
+    labels = ["attainable" if hit else "unattainable"
+              for hit in attains(p, x, tol).any(axis=0)]
     if all(l == "attainable" for l in labels):
         overall = "attainable"
     elif all(l == "unattainable" for l in labels):
@@ -362,24 +359,12 @@ def classify_attainability(x, p: FreProblem, tol=TOL):
 # Greatest solutions of R ∘ U = T with structural constraints
 # ---------------------------------------------------------------------------
 
-def _godel_left_division(R, T):
-    """U[x,z] = min_y godel(R[y,x], T[y,z])."""
-    R, T = as_grid(R), as_grid(T)
-    ny, nx = R.shape
-    nz = T.shape[1]
-    U = np.empty((nx, nz))
-    for x in range(nx):
-        for z in range(nz):
-            U[x, z] = min(godel(R[y, x], T[y, z]) for y in range(ny))
-    return U
-
-
 def greatest_solution_relation(R, T):
     """Greatest U with R∘U = T (max-min); None when infeasible."""
     R, T = as_grid(R), as_grid(T)
     if R.shape[0] != T.shape[0]:
         raise ValueError(f"row mismatch: {R.shape} vs {T.shape}")
-    U = _godel_left_division(R, T)
+    U = inf_implication_compose(godel, R.T, T)
     if np.all(np.abs(compose(MaxMin(), R, U).cells - T) <= TOL):
         return Relation(U)
     return None
@@ -389,14 +374,14 @@ def constrained_greatest(R, T, constraint):
     """Greatest irreflexive / symmetric / transitive solution of R∘U = T,
     when one exists; None otherwise."""
     R, T = as_grid(R), as_grid(T)
-    U = _godel_left_division(R, T)
+    U = inf_implication_compose(godel, R.T, T)
     if constraint == "irreflexive":
         cand = U.copy()
         np.fill_diagonal(cand, 0.0)
     elif constraint == "symmetric":
         cand = np.minimum(U, U.T)
     elif constraint == "transitive":
-        cand = np.minimum(_godel_left_division(T, T), U)
+        cand = np.minimum(inf_implication_compose(godel, T.T, T), U)
     else:
         raise ValueError(f"unknown constraint {constraint!r}")
     if np.all(np.abs(compose(MaxMin(), R, cand).cells - T) <= TOL):
@@ -424,34 +409,16 @@ def kagei_type1(pairs, size, caps=None):
     for every pair; closed-form cell-wise meet of per-pair solutions."""
     R = np.ones(size)
     for p_vec, x_star in pairs:
-        p_vec = np.asarray(p_vec, float)
+        p_vec = np.asarray(p_vec, float)[:size]
         if not 0 <= x_star < size:
             raise ValueError(f"selected index {x_star} out of range")
         target = p_vec[x_star]
         if caps is not None:
             target = min(target, caps[x_star])
-        for x in range(size):
-            val = sigma_alpha(p_vec[x], target)
-            if caps is not None:
-                val = min(val, caps[x])
-            R[x] = min(R[x], val)
-    return R
-
-
-def kagei_type1_iterative(pairs, size, max_sweeps=100):
-    """Fixpoint form of the same computation (reduce violating cells)."""
-    R = np.ones(size)
-    for _ in range(max_sweeps):
-        changed = False
-        for p_vec, x_star in pairs:
-            p_vec = np.asarray(p_vec, float)
-            bound = min(p_vec[x_star], R[x_star])
-            for x in range(size):
-                if x != x_star and min(p_vec[x], R[x]) > bound + TOL:
-                    R[x] = bound
-                    changed = True
-        if not changed:
-            break
+        val = godel(p_vec, target)
+        if caps is not None:
+            val = np.minimum(val, np.asarray(caps, float)[:size])
+        R = np.minimum(R, val)
     return R
 
 
@@ -466,14 +433,14 @@ def kagei_type2_unique(pairs, xdim, ydim, slack=1e-6, max_sweeps=1000):
     for _ in range(max_sweeps):
         changed = False
         for p_vec, y_star in pairs:
-            bound = max(min(p_vec[x], R[x, y_star]) for x in range(xdim))
+            img = np.minimum(p_vec[:xdim, None], R)
+            bound = img[:, y_star].max()
             new = max(0.0, bound - slack)
-            for x in range(xdim):
-                for y in range(ydim):
-                    if y != y_star and min(p_vec[x], R[x, y]) >= bound - 1e-12 \
-                            and R[x, y] > new:
-                        R[x, y] = new
-                        changed = True
+            cut = (img >= bound - 1e-12) & (R > new)
+            cut[:, y_star] = False
+            if cut.any():
+                R[cut] = new
+                changed = True
         if not changed:
             break
     return R
@@ -483,23 +450,14 @@ def kagei_type2_unique(pairs, xdim, ydim, slack=1e-6, max_sweeps=1000):
 # Specificity shift estimation
 # ---------------------------------------------------------------------------
 
-def _phi(u, alpha):
-    return max(0.0, (u - alpha) / (1.0 - alpha))
-
-
-def _psi(u, beta):
-    return min(1.0, u / beta)
-
-
 def specificity_shift_fit(data, t: TNorm, alpha_grid, beta_grid):
     """Fit R = ∩_k (φ_α[x(k)] → ψ_β[y(k)]) by grid search over (α, β),
     scoring with Σ_k ||y(k) − x(k) ∘ R||².  The identity pair (0, 1) is
     always scored so the result never regresses below the plain fit."""
     if not data:
         raise ValueError("empty data")
-    data = [(np.asarray(x, float), np.asarray(y, float)) for x, y in data]
-    nx = data[0][0].shape[0]
-    ny = data[0][1].shape[0]
+    X = np.array([np.asarray(x, float) for x, _ in data])
+    Y = np.array([np.asarray(y, float) for _, y in data])
     alphas = sorted({0.0} | {float(a) for a in alpha_grid})
     betas = sorted({1.0} | {float(b) for b in beta_grid})
     for a in alphas:
@@ -510,16 +468,12 @@ def specificity_shift_fit(data, t: TNorm, alpha_grid, beta_grid):
             raise ValueError("beta values must lie in (0, 1]")
     best = None
     for alpha in alphas:
+        phi = np.maximum(0.0, (X - alpha) / (1.0 - alpha))
         for beta in betas:
-            R = np.ones((nx, ny))
-            for xv, yv in data:
-                for i in range(nx):
-                    fi = _phi(xv[i], alpha)
-                    for j in range(ny):
-                        R[i, j] = min(R[i, j], t.residuum(fi, _psi(yv[j], beta)))
+            psi = np.minimum(1.0, Y / beta)
+            R = inf_implication_compose(t.apply_residuum, phi.T, psi)
             mse = 0.0
-            for xv, yv in data:
-                pred = compose(SupT(t), xv.reshape(1, -1), R).cells[0]
+            for yv, pred in zip(Y, sup_t_compose(t, X, R)):
                 mse += float(np.sum((yv - pred) ** 2))
             if best is None or mse < best[3] - 1e-15:
                 best = (Relation(R), alpha, beta, mse)

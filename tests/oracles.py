@@ -4,7 +4,8 @@ import itertools
 
 import numpy as np
 
-from relq.solve import FreProblem
+from relq.grades import TOL
+from relq.solve import FreProblem, InfeasibleError, attain_value, binding_sets, max_solution
 
 
 def grid_solutions(p: FreProblem, grid):
@@ -43,3 +44,97 @@ def brute_solvable_unique(A, b, grid):
 
 def minimal_set_key(minimals, ndig=9):
     return sorted(tuple(round(float(v), ndig) for v in m) for m in minimals)
+
+
+def _assemble(p, f, x_hat, sets, vals):
+    """Candidate solution: x_hat on negative-cost rows, chosen binding
+    values elsewhere."""
+    x = np.zeros(p.base.m)
+    for i in range(p.base.m):
+        if p.c[i] < 0.0:
+            x[i] = x_hat[i]
+    for j, i in enumerate(f):
+        x[i] = max(x[i], vals[(i, j)])
+    return x
+
+
+def brute_force_linear(p, cap=10 ** 4):
+    """Optimum of a LinearFreProblem: enumerate every binding combination
+    and take the best."""
+    base = p.base
+    x_hat = max_solution(base)
+    if x_hat is None:
+        raise InfeasibleError("infeasible")
+    sets = binding_sets(base, x_hat)
+    size = 1
+    for s in sets:
+        size *= max(len(s), 1)
+    if size > cap:
+        raise RuntimeError(f"combination count {size} exceeds cap {cap}")
+    vals = {(i, j): attain_value(base, i, j) for j, s in enumerate(sets) for i in s}
+    best_x, best_z = None, np.inf
+    for f in itertools.product(*sets):
+        x = _assemble(p, f, x_hat, sets, vals)
+        z = float(np.dot(p.c, x))
+        if z < best_z - 1e-12:
+            best_x, best_z = x, z
+    return best_x, best_z
+
+
+# ---------------------------------------------------------------------------
+# Cell-by-cell loops the array kernels must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+def sup_t_loops(t, P, Q):
+    """out[i,k] = max_j t(P[i,j], Q[j,k]) with the scalar t-norm."""
+    out = np.empty((P.shape[0], Q.shape[1]))
+    for i in range(P.shape[0]):
+        for k in range(Q.shape[1]):
+            out[i, k] = max(t(P[i, j], Q[j, k]) for j in range(P.shape[1]))
+    return out
+
+
+def inf_implication_loops(imp, P, Q):
+    """out[i,k] = min_j imp(P[i,j], Q[j,k]) with a scalar implication."""
+    out = np.empty((P.shape[0], Q.shape[1]))
+    for i in range(P.shape[0]):
+        for k in range(Q.shape[1]):
+            out[i, k] = min(imp(P[i, j], Q[j, k]) for j in range(P.shape[1]))
+    return out
+
+
+# the implications in their scalar form
+SCALAR_IMPLICATIONS = {
+    "godel": lambda a, b: 1.0 if a <= b + TOL else b,
+    "lukasiewicz": lambda a, b: min(1.0, 1.0 - a + b),
+    "kleene-dienes": lambda a, b: max(1.0 - a, b),
+    "crisp": lambda a, b: 0.0 if a > 0.5 and b < 0.5 else 1.0,
+}
+
+
+def delta_rule_B_loops(A, B):
+    """w_kj = min of the targets b_ij over samples with a_ik > b_ij + TOL."""
+    W = np.ones((A.shape[1], B.shape[1]))
+    for i in range(A.shape[0]):
+        for k in range(A.shape[1]):
+            for j in range(B.shape[1]):
+                if A[i, k] > B[i, j] + TOL and B[i, j] < W[k, j]:
+                    W[k, j] = B[i, j]
+    return W
+
+
+def delta_rule_K_loops(t, A, B):
+    """Rule K one sample at a time: the weights and the (i, k, j) cells
+    whose violation the residuum cannot repair."""
+    W = np.ones((A.shape[1], B.shape[1]))
+    fallback = []
+    for i in range(A.shape[0]):
+        for k in range(A.shape[1]):
+            for j in range(B.shape[1]):
+                cand = t.residuum(A[i, k], B[i, j])
+                if t(W[k, j], A[i, k]) > B[i, j] + TOL and \
+                        abs(t(cand, A[i, k]) - B[i, j]) > 1e-7:
+                    fallback.append((i, k, j))
+                if cand < W[k, j]:
+                    W[k, j] = cand
+    return W, fallback

@@ -14,7 +14,7 @@ from relq.learn import TrainingSet, delta_rule_B, delta_rule_K, sup_t_image
 from relq.neutro import (I, NeutroRelation, R, n_pseudo_char_matrix,
                          neutro_compose, neutro_max, neutro_min,
                          nre_max_solution)
-from relq.optimize import (GaConfig, LinearFreProblem, brute_force_linear,
+from relq.optimize import (GaConfig, LinearFreProblem,
                            optimize_linear, optimize_nonlinear_ga,
                            pseudo_char_matrix)
 from relq.products import (ContingencyTable, checklist_product,
@@ -27,8 +27,8 @@ from relq.solve import (FreProblem, InfeasibleError, gavalec_certificate,
                         minimal_solutions_lambda,
                         minimal_solutions_matrix_pattern, solve)
 
-from .oracles import (brute_solvable_unique, grid_in_union, grid_solutions,
-                      minimal_set_key)
+from .oracles import (brute_force_linear, brute_solvable_unique, grid_in_union,
+                      grid_solutions, minimal_set_key)
 
 GRID5 = [0.0, 0.25, 0.5, 0.75, 1.0]
 

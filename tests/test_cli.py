@@ -160,3 +160,48 @@ def test_round_flag_half_up(capsys, tmp_path):
                                 "--format", "csv", "--round", "2"])
     assert code == 0
     assert out.strip() == "0.63"
+
+
+GOOD = {"A": [[0.5, 0.3], [0.7, 0.3]], "b": [0.5, 0.3]}
+
+
+@pytest.mark.parametrize("argv, problem, env, code, out_has, err_has", [
+    # bad grades are errors (exit 1), never "infeasible"
+    (["solve"], {"A": [[float("nan"), 0.5], [0.3, 0.2]], "b": [0.5, 0.3]}, None,
+     1, "", "must be finite and lie in [0, 1]"),
+    (["solve"], {"A": [[2.0, 0.5], [0.3, 0.2]], "b": [0.5, 0.3]}, None,
+     1, "", "must be finite and lie in [0, 1]"),
+    (["optimize", "--c", "1,1"], {"A": [[0.5], [0.2]], "b": [float("inf")]}, None,
+     1, "", "must be finite and lie in [0, 1]"),
+    # an unsupported composition is an error, an unsolvable system exit 2
+    (["optimize", "--c", "2,1", "--comp", "sup-t:drastic"], GOOD, None,
+     1, "", "continuous t-norm"),
+    (["optimize", "--c", "1"], {"A": [[0.1]], "b": [0.9]}, None,
+     2, '"feasible": false', ""),
+    # RELQ_CAP is read when no --cap is given, and a malformed one is an error
+    (["solve"], GOOD, "abc", 1, "", "RELQ_CAP must be a positive integer"),
+    (["solve", "--cap", "5"], GOOD, "abc", 0, '"feasible": true', ""),
+    (["solve"], {"A": [[0.5] * 3] * 3, "b": [0.5] * 3}, "27", 0, '"feasible": true', ""),
+    (["solve"], {"A": [[0.5] * 3] * 3, "b": [0.5] * 3}, "26", 1, "", "exceed cap 26"),
+    # removed options are rejected by the parser
+    (["solve", "--seed", "3"], GOOD, None, 1, "", ""),
+    (["demo", "pallavan", "--mode", "graded"], None, None, 1, "", ""),
+], ids=["solve-nan-in-A", "solve-A-above-1", "optimize-inf-in-b", "optimize-drastic",
+        "optimize-infeasible", "solve-bad-env-cap", "solve-flag-cap-wins",
+        "solve-env-cap-fits", "solve-env-cap-exceeded", "no-seed-option",
+        "no-demo-mode-option"])
+def test_error_contract(capsys, monkeypatch, tmp_path, argv, problem, env, code,
+                        out_has, err_has):
+    if env is None:
+        monkeypatch.delenv("RELQ_CAP", raising=False)
+    else:
+        monkeypatch.setenv("RELQ_CAP", env)
+    if problem is not None:
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(problem))
+        argv = [argv[0], str(f), *argv[1:]]
+    got, out, err = run(capsys, [*argv, "--format", "json"])
+    assert got == code
+    assert out_has in out and err_has in err
+    if code == 1:
+        assert out == ""

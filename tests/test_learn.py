@@ -27,6 +27,17 @@ def test_training_set_validation():
     assert (ts.p, ts.n, ts.m) == (1, 2, 1)
 
 
+@pytest.mark.parametrize("inputs, targets, which", [
+    ([[np.nan, 0.2]], [[0.3]], "inputs"),
+    ([[0.1, 1.2]], [[0.3]], "inputs"),
+    ([[0.1, 0.2]], [[np.inf]], "targets"),
+    ([[0.1, 0.2]], [[-0.3]], "targets"),
+])
+def test_training_set_rejects_bad_grades(inputs, targets, which):
+    with pytest.raises(ValueError, match=f"{which} must be finite and lie in"):
+        TrainingSet(inputs, targets)
+
+
 def test_trainer_config_validation():
     with pytest.raises(ValueError):
         TrainerConfig(eta=0.0)

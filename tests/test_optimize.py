@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from relq.optimize import (GaConfig, LinearFreProblem, ParetoArchive,
-                           brute_force_linear, dominates, equivalence_reduce,
+                           dominates, equivalence_reduce,
                            fuzzy_c_means, ga_crossover, ga_initialize,
                            ga_mutate, optimize_linear, optimize_multiobjective,
                            optimize_nonlinear_ga, pseudo_char_matrix,
                            reduce_problem, split_costs)
 from relq.solve import FreProblem, InfeasibleError, max_solution, solve
+
+from .oracles import brute_force_linear
 
 
 def random_feasible(rng, m, n, decimals=2):

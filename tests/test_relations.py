@@ -34,6 +34,12 @@ def test_relation_basics():
         Relation([[1.5]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.5])
+def test_relation_rejects_bad_grades(bad):
+    with pytest.raises(ValueError, match="relation cells must be finite and lie in"):
+        Relation([[bad, 0.5]])
+
+
 @given(grids())
 @settings(max_examples=50, deadline=None)
 def test_csv_json_roundtrip(grid):

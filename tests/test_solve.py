@@ -6,7 +6,7 @@ import pytest
 from relq.grades import MIN, PRODUCT, godel
 from relq.relations import MaxMin, MaxProduct, Relation
 from relq.solve import (CapExceeded, FreProblem, InfeasibleError,
-                        binding_sets, classify_attainability,
+                        binding_sets, classify_attainability, combinatorial_cap,
                         constrained_greatest, gavalec_certificate,
                         greatest_solution_relation, kagei_type1,
                         kagei_type2_unique, max_solution,
@@ -38,6 +38,30 @@ def test_infeasible():
     assert max_solution(p) is None
     with pytest.raises(InfeasibleError):
         solve(p)
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[np.nan, 0.5], [0.3, 0.2]], [0.5, 0.3]),
+    ([[2.0, 0.5], [0.3, 0.2]], [0.5, 0.3]),
+    ([[0.5, 0.5]], [np.inf, 0.3]),
+    ([[0.5, 0.5]], [0.5, -0.1]),
+])
+def test_problem_rejects_bad_grades(A, b):
+    with pytest.raises(ValueError, match="must be finite and lie in"):
+        FreProblem(A, b)
+
+
+@pytest.mark.parametrize("value, cap", [(None, 10 ** 6), ("7", 7), ("abc", None), ("0", None)])
+def test_combinatorial_cap_env(monkeypatch, value, cap):
+    if value is None:
+        monkeypatch.delenv("RELQ_CAP", raising=False)
+    else:
+        monkeypatch.setenv("RELQ_CAP", value)
+    if cap is None:
+        with pytest.raises(ValueError, match="RELQ_CAP must be a positive integer"):
+            combinatorial_cap()
+    else:
+        assert combinatorial_cap() == cap
 
 
 def test_solution_set_contains():
