@@ -109,7 +109,7 @@ def _composition_of(data, flag):
 def _problem_from_file(path, args):
     data = json.loads(_read_text(path))
     spec = _composition_of(data, args.comp)
-    return FreProblem(np.asarray(data["A"], float), np.asarray(data["b"], float), spec), data
+    return FreProblem(data["A"], data["b"], spec), data
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +329,6 @@ def cmd_demo(args):
 def _add_common(sp):
     sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
     sp.add_argument("--round", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--cap", type=int, default=None,
-                    help="cap on enumerated combinations (default: RELQ_CAP or 10^6)")
     sp.add_argument("--comp", default="max-min")
 
 
@@ -351,6 +348,8 @@ def build_parser():
     sp.add_argument("problem")
     sp.add_argument("--method", choices=("lambda", "pattern", "archimedean"),
                     default="lambda")
+    sp.add_argument("--cap", type=int, default=None,
+                    help="cap on enumerated combinations (default: RELQ_CAP or 10^6)")
     _add_common(sp)
     sp.set_defaults(func=cmd_solve)
 
@@ -366,6 +365,7 @@ def build_parser():
                     default="K")
     sp.add_argument("--tnorm", default="min")
     sp.add_argument("--eta", type=float, default=0.1)
+    sp.add_argument("--tol", type=float, default=1e-6)
     _add_common(sp)
     sp.set_defaults(func=cmd_learn)
 

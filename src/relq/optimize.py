@@ -1,9 +1,11 @@
 """Optimization over fuzzy relational equation solution sets.
 
-Linear objectives are minimized exactly by problem reduction plus a 0-1
-assignment search with branch and bound.  Nonlinear objectives run through a
-feasibility-preserving genetic algorithm.  Multi-objective search keeps a
-Pareto archive, with fuzzy c-means available to cluster the efficient set.
+Linear objectives are minimized exactly by the cover search of
+``relq.solve``, cut by the best cost found; ``reduce_problem`` reports what
+can be fixed before a search (the optimizer does not use it yet).
+Nonlinear objectives run through a feasibility-preserving genetic
+algorithm.  Multi-objective search keeps a Pareto archive, with fuzzy
+c-means available to cluster the efficient set.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 from .grades import TOL
 from .relations import MaxMin, as_grid
 from .solve import (
-    FreProblem, InfeasibleError, attain_value, attains, binding_sets, max_solution,
+    FreProblem, InfeasibleError, attain_value, attains, binding_columns, binding_sets,
+    cover_search, max_solution,
 )
 
 
@@ -61,10 +64,7 @@ def reduce_problem(p: LinearFreProblem) -> ReductionState:
     subproblems by binding-set overlap.
     """
     base, c = p.base, p.c
-    x_hat = max_solution(base)
-    if x_hat is None:
-        raise InfeasibleError("base system is infeasible")
-    sets = binding_sets(base, x_hat)
+    x_hat, sets, cols = binding_columns(base)
     fixed = {}
     removed = []
     for i in range(base.m):
@@ -79,18 +79,14 @@ def reduce_problem(p: LinearFreProblem) -> ReductionState:
     while changed:
         changed = False
         for j in list(pending):
-            live = [i for i in sets[j] if i not in fixed]
-            sat = any(
-                i in fixed and fixed[i] >= attain_value(base, i, j) - TOL
-                for i in sets[j]
-            )
-            if sat:
+            live = [(i, v) for i, v in cols[j] if i not in fixed]
+            if any(i in fixed and fixed[i] >= v - TOL for i, v in cols[j]):
                 pending.remove(j)
                 removed.append(j)
                 changed = True
             elif len(live) == 1:
-                i = live[0]
-                fixed[i] = max(fixed.get(i, 0.0), attain_value(base, i, j))
+                i, v = live[0]
+                fixed[i] = max(fixed.get(i, 0.0), v)
                 pending.remove(j)
                 forced.append(j)
                 changed = True
@@ -114,65 +110,27 @@ def reduce_problem(p: LinearFreProblem) -> ReductionState:
     return ReductionState(fixed, sorted(removed), forced, subproblems, x_hat, sets)
 
 
-def optimize_linear(p: LinearFreProblem, use_bound=True):
+def optimize_linear(p: LinearFreProblem):
     """Exact minimum of c·x over the solution set.
 
     Negative-cost rows sit at the maximum solution; the remaining choice of
-    one binding row per constraint is searched depth-first with a running
-    lower bound (the already-committed cost; valid because uncommitted rows
-    contribute non-negatively).
+    one binding row per constraint is a cover search, fewest binding rows
+    first, cut where the cost so far reaches the best found (valid because
+    raising a non-negative-cost row never lowers the cost).
     """
     base, c = p.base, p.c
-    x_hat = max_solution(base)
-    if x_hat is None:
-        raise InfeasibleError("infeasible")
-    sets = binding_sets(base, x_hat)
-    vals = {(i, j): attain_value(base, i, j) for j, s in enumerate(sets) for i in s}
-    neg = c < 0.0
-    x0 = np.where(neg, x_hat, 0.0)
-    # constraints already attained by the negative-cost block
-    t = base.tnorm()
-
-    def attained(x, j):
-        return any(
-            abs(t(x[i], base.A[i, j]) - base.b[j]) <= TOL for i in range(base.m)
-        )
-
-    open_js = [j for j in range(base.n) if not attained(x0, j)]
-    open_js.sort(key=lambda j: len(sets[j]))
+    x_hat, sets, cols = binding_columns(base)
     best = {"x": None, "z": np.inf}
 
-    def walk(pos, x, cost):
-        if use_bound and cost >= best["z"] - 1e-12:
-            return
-        while pos < len(open_js) and attained(x, open_js[pos]):
-            pos += 1
-        if pos == len(open_js):
-            if cost < best["z"] - 1e-12:
-                best["z"] = cost
-                best["x"] = x.copy()
-            return
-        j = open_js[pos]
-        for i in sets[j]:
-            if c[i] < 0.0:
-                # already at x_hat, attains j for free
-                walk(pos + 1, x, cost)
-                continue
-            old = x[i]
-            v = vals[(i, j)]
-            if v > old:
-                x[i] = v
-                walk(pos + 1, x, cost + c[i] * (v - old))
-                x[i] = old
-            else:
-                walk(pos + 1, x, cost)
+    def leaf(x):
+        z = float(np.dot(c, x))
+        if z < best["z"] - 1e-12:
+            best["x"], best["z"] = x.copy(), z
 
-    base_cost = float(np.sum(c[neg] * x_hat[neg]))
-    walk(0, x0.copy(), base_cost)
-    x_star = best["x"]
-    if x_star is None:
-        raise InfeasibleError("no assembled candidate found")
-    return x_star, float(np.dot(c, x_star))
+    cover_search(cols, sorted(range(base.n), key=lambda j: len(sets[j])),
+                 np.where(c < 0.0, x_hat, 0.0), leaf,
+                 prune=lambda x: np.dot(c, x) >= best["z"] - 1e-12)
+    return best["x"], float(np.dot(c, best["x"]))
 
 
 # ---------------------------------------------------------------------------

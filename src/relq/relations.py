@@ -32,7 +32,7 @@ class Relation:
     __slots__ = ("cells",)
 
     def __init__(self, cells):
-        arr = np.array(cells, dtype=float)
+        arr = _float_grid(cells)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -99,11 +99,25 @@ class Relation:
         return rel
 
 
+def _float_grid(cells):
+    """cells as a float array; rows of unequal length are rejected by number."""
+    try:
+        return np.asarray(cells, dtype=float)
+    except ValueError:
+        sizes = [len(r) if isinstance(r, (list, tuple, np.ndarray)) else 1 for r in cells]
+        bad = [f"row {k} has length {n}" for k, n in enumerate(sizes) if n != sizes[0]]
+        if not bad:
+            raise
+        more = " and more" if len(bad) > 5 else ""
+        raise ValueError(f"ragged grid: row 0 has length {sizes[0]} but "
+                         f"{', '.join(bad[:5])}{more}") from None
+
+
 def as_grid(R):
     """Accept a Relation, array, or nested list; return the ndarray view."""
     if isinstance(R, Relation):
         return R.cells
-    arr = np.asarray(R, dtype=float)
+    arr = _float_grid(R)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     return arr

@@ -4,6 +4,12 @@ Greatest (maximum) solution, feasibility, minimal-solution enumeration by
 three methods, fast solvability/uniqueness certificates, attainability
 classification, constrained greatest solutions, defuzzified rule extraction,
 and the specificity-shift estimator.
+
+The three enumeration methods share one search over the binding columns
+(``cover_search`` for lambda and pattern, a level-by-level build-up for
+archimedean) and differ only in the constraint order and in what the cap
+counts: lambda ∏|I_j|, pattern the leaves, archimedean the candidate set
+of each level.
 """
 
 from __future__ import annotations
@@ -109,7 +115,7 @@ class SolutionSet:
 
 
 # ---------------------------------------------------------------------------
-# Maximum solution and binding structure
+# Maximum solution, binding structure, cover search
 # ---------------------------------------------------------------------------
 
 def max_solution(p: FreProblem, tol=TOL):
@@ -137,6 +143,45 @@ def attain_value(p: FreProblem, i, j):
     return t.min_section_solution(p.A[i, j], p.b[j])
 
 
+def binding_columns(p: FreProblem):
+    """x_hat, the binding sets I_j, and per constraint j the pairs
+    (i, attain_value(p, i, j)) for i in I_j; raises InfeasibleError when
+    the system has no solution."""
+    x_hat = max_solution(p)
+    if x_hat is None:
+        raise InfeasibleError("system is infeasible")
+    sets = binding_sets(p, x_hat)
+    cols = [[(i, attain_value(p, i, j)) for i in s] for j, s in enumerate(sets)]
+    return x_hat, sets, cols
+
+
+def cover_search(cols, order, x, leaf, prune=None):
+    """Depth-first choice of one binding row per constraint, starting from x.
+
+    Constraints are visited in ``order``; one that some row already covers
+    (x_i >= v - TOL for a pair (i, v) of its column) is skipped, otherwise
+    the search branches on raising each binding row to its attaining value.
+    ``leaf(x)`` sees every complete assignment (x is reused: copy what you
+    keep) and a branch stops where ``prune(x)`` is true.
+    """
+    def walk(pos):
+        if prune is not None and prune(x):
+            return
+        while pos < len(order) and any(x[i] >= v - TOL for i, v in cols[order[pos]]):
+            pos += 1
+        if pos == len(order):
+            leaf(x)
+            return
+        # the column is uncovered, so each of its rows sits below v
+        for i, v in cols[order[pos]]:
+            old = x[i]
+            x[i] = v
+            walk(pos + 1)
+            x[i] = old
+
+    walk(0)
+
+
 def _dominance_filter(cands, tol=TOL):
     """Keep the cell-wise minimal elements, deduped, canonically sorted."""
     out = []
@@ -153,78 +198,39 @@ def _dominance_filter(cands, tol=TOL):
 
 
 # ---------------------------------------------------------------------------
-# Minimal solutions: binding-combination enumeration
+# Minimal solutions (see the module docstring)
 # ---------------------------------------------------------------------------
 
 def minimal_solutions_lambda(p: FreProblem, cap=None) -> SolutionSet:
-    """Enumerate all binding-row combinations f ∈ I_1×…×I_n and filter."""
+    """Binding-row combinations f ∈ I_1×…×I_n, searched in column order and
+    filtered; refused up front when ∏|I_j| exceeds the cap."""
     cap = combinatorial_cap() if cap is None else cap
-    x_hat = max_solution(p)
-    if x_hat is None:
-        raise InfeasibleError("system is infeasible")
-    sets = binding_sets(p, x_hat)
+    x_hat, sets, cols = binding_columns(p)
     size = 1
     for s in sets:
         size *= max(len(s), 1)
         if size > cap:
             raise CapExceeded(f"binding combinations exceed cap {cap}")
-    vals = {(i, j): attain_value(p, i, j) for j, s in enumerate(sets) for i in s}
-    cands = []
-    for f in itertools.product(*sets):
-        x = np.zeros(p.m)
-        for j, i in enumerate(f):
-            v = vals[(i, j)]
-            if v > x[i]:
-                x[i] = v
-        cands.append(x)
-    minimals = _dominance_filter(cands)
-    return SolutionSet(True, x_hat, minimals, sets)
-
-
-# ---------------------------------------------------------------------------
-# Minimal solutions: matrix-pattern branching
-# ---------------------------------------------------------------------------
-
-def minimal_solutions_matrix_pattern(p: FreProblem, cap=None) -> SolutionSet:
-    """Walk constraints in decreasing right-hand-side order, branching over
-    every marked row of the current column; a column already covered by the
-    partial assignment is skipped."""
-    cap = combinatorial_cap() if cap is None else cap
-    x_hat = max_solution(p)
-    if x_hat is None:
-        raise InfeasibleError("system is infeasible")
-    sets = binding_sets(p, x_hat)
-    vals = {(i, j): attain_value(p, i, j) for j, s in enumerate(sets) for i in s}
-    order = sorted(range(p.n), key=lambda j: -p.b[j])
     leaves = []
-    budget = [cap]
-
-    def covered(x, j):
-        return any(x[i] >= vals[(i, j)] - TOL for i in sets[j])
-
-    def walk(pos, x):
-        while pos < len(order) and covered(x, order[pos]):
-            pos += 1
-        if pos == len(order):
-            leaves.append(x.copy())
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceeded(f"matrix-pattern branches exceed cap {cap}")
-            return
-        j = order[pos]
-        for i in sets[j]:
-            old = x[i]
-            x[i] = max(x[i], vals[(i, j)])
-            walk(pos + 1, x)
-            x[i] = old
-
-    walk(0, np.zeros(p.m))
+    cover_search(cols, range(p.n), np.zeros(p.m), lambda x: leaves.append(x.copy()))
     return SolutionSet(True, x_hat, _dominance_filter(leaves), sets)
 
 
-# ---------------------------------------------------------------------------
-# Minimal solutions: constraint-by-constraint concatenation (Archimedean)
-# ---------------------------------------------------------------------------
+def minimal_solutions_matrix_pattern(p: FreProblem, cap=None) -> SolutionSet:
+    """Cover search over the constraints in decreasing right-hand-side order;
+    the cap counts the leaves."""
+    cap = combinatorial_cap() if cap is None else cap
+    x_hat, sets, cols = binding_columns(p)
+    leaves = []
+
+    def leaf(x):
+        leaves.append(x.copy())
+        if len(leaves) > cap:
+            raise CapExceeded(f"matrix-pattern branches exceed cap {cap}")
+
+    cover_search(cols, sorted(range(p.n), key=lambda j: -p.b[j]), np.zeros(p.m), leaf)
+    return SolutionSet(True, x_hat, _dominance_filter(leaves), sets)
+
 
 def minimal_solutions_archimedean(p: FreProblem, cap=None) -> SolutionSet:
     """Pseudo-polynomial build-up: per-constraint unique scalar solutions are
@@ -233,17 +239,14 @@ def minimal_solutions_archimedean(p: FreProblem, cap=None) -> SolutionSet:
     if not t.archimedean:
         raise ValueError(f"requires an Archimedean t-norm, got {t.name}")
     cap = combinatorial_cap() if cap is None else cap
-    x_hat = max_solution(p)
-    if x_hat is None:
-        raise InfeasibleError("system is infeasible")
-    sets = binding_sets(p, x_hat)
+    x_hat, sets, cols = binding_columns(p)
     partial = [np.zeros(p.m)]
-    for j in range(p.n):
+    for col in cols:
         nxt = []
         for base in partial:
-            for i in sets[j]:
+            for i, v in col:
                 x = base.copy()
-                x[i] = max(x[i], attain_value(p, i, j))
+                x[i] = max(x[i], v)
                 nxt.append(x)
         partial = _dominance_filter(nxt)
         if len(partial) > cap:

@@ -46,35 +46,44 @@ def minimal_set_key(minimals, ndig=9):
     return sorted(tuple(round(float(v), ndig) for v in m) for m in minimals)
 
 
-def _assemble(p, f, x_hat, sets, vals):
-    """Candidate solution: x_hat on negative-cost rows, chosen binding
-    values elsewhere."""
-    x = np.zeros(p.base.m)
-    for i in range(p.base.m):
-        if p.c[i] < 0.0:
-            x[i] = x_hat[i]
-    for j, i in enumerate(f):
-        x[i] = max(x[i], vals[(i, j)])
-    return x
-
-
-def brute_force_linear(p, cap=10 ** 4):
-    """Optimum of a LinearFreProblem: enumerate every binding combination
-    and take the best."""
-    base = p.base
-    x_hat = max_solution(base)
+def _combination_points(p: FreProblem, start, cap):
+    """For every binding-row combination f ∈ I_1×…×I_n, the point that raises
+    each chosen row f(j) from start(x_hat) to its attaining value of j."""
+    x_hat = max_solution(p)
     if x_hat is None:
         raise InfeasibleError("infeasible")
-    sets = binding_sets(base, x_hat)
+    sets = binding_sets(p, x_hat)
     size = 1
     for s in sets:
         size *= max(len(s), 1)
     if size > cap:
         raise RuntimeError(f"combination count {size} exceeds cap {cap}")
-    vals = {(i, j): attain_value(base, i, j) for j, s in enumerate(sets) for i in s}
-    best_x, best_z = None, np.inf
+    vals = {(i, j): attain_value(p, i, j) for j, s in enumerate(sets) for i in s}
     for f in itertools.product(*sets):
-        x = _assemble(p, f, x_hat, sets, vals)
+        x = start(x_hat)
+        for j, i in enumerate(f):
+            x[i] = max(x[i], vals[(i, j)])
+        yield x
+
+
+def product_minimals(p: FreProblem, cap=10 ** 4):
+    """Minimal solutions from the full product of binding rows: every
+    combination's point, kept when no other point lies strictly below it."""
+    pts = list(_combination_points(p, np.zeros_like, cap))
+    out = []
+    for x in pts:
+        if any(np.all(y <= x + 1e-9) and np.any(y < x - 1e-9) for y in pts):
+            continue
+        if not any(np.all(np.abs(y - x) <= 1e-9) for y in out):
+            out.append(x)
+    return out
+
+
+def brute_force_linear(p, cap=10 ** 4):
+    """Optimum of a LinearFreProblem: enumerate every binding combination
+    (x_hat on the negative-cost rows) and take the best."""
+    best_x, best_z = None, np.inf
+    for x in _combination_points(p.base, lambda x_hat: np.where(p.c < 0.0, x_hat, 0.0), cap):
         z = float(np.dot(p.c, x))
         if z < best_z - 1e-12:
             best_x, best_z = x, z

@@ -88,6 +88,16 @@ def test_compose_dim_mismatch(capsys, tmp_path):
     assert "1x2" in err and "1x1" in err
 
 
+def test_compose_ragged_csv(capsys, tmp_path):
+    p = tmp_path / "P.csv"
+    q = tmp_path / "Q.csv"
+    p.write_text("0.8,0.0\n0.2\n0.1,0.3\n")
+    q.write_text("0.6\n0.5\n")
+    code, out, err = run(capsys, ["compose", str(p), str(q)])
+    assert code == 1 and out == ""
+    assert "ragged grid: row 0 has length 2 but row 1 has length 1" in err
+
+
 def test_compose_neutro(capsys, tmp_path):
     p = tmp_path / "P.csv"
     q = tmp_path / "Q.csv"
@@ -183,13 +193,18 @@ GOOD = {"A": [[0.5, 0.3], [0.7, 0.3]], "b": [0.5, 0.3]}
     (["solve", "--cap", "5"], GOOD, "abc", 0, '"feasible": true', ""),
     (["solve"], {"A": [[0.5] * 3] * 3, "b": [0.5] * 3}, "27", 0, '"feasible": true', ""),
     (["solve"], {"A": [[0.5] * 3] * 3, "b": [0.5] * 3}, "26", 1, "", "exceed cap 26"),
+    # a ragged A is named as such
+    (["solve"], {"A": [[0.5, 0.3], [0.7]], "b": [0.5, 0.3]}, None,
+     1, "", "ragged grid: row 0 has length 2 but row 1 has length 1"),
     # removed options are rejected by the parser
     (["solve", "--seed", "3"], GOOD, None, 1, "", ""),
     (["demo", "pallavan", "--mode", "graded"], None, None, 1, "", ""),
+    (["solve", "--tol", "0.5"], GOOD, None, 1, "", ""),
+    (["optimize", "--c", "2,1", "--cap", "5"], GOOD, None, 1, "", ""),
 ], ids=["solve-nan-in-A", "solve-A-above-1", "optimize-inf-in-b", "optimize-drastic",
         "optimize-infeasible", "solve-bad-env-cap", "solve-flag-cap-wins",
-        "solve-env-cap-fits", "solve-env-cap-exceeded", "no-seed-option",
-        "no-demo-mode-option"])
+        "solve-env-cap-fits", "solve-env-cap-exceeded", "solve-ragged-A", "no-seed-option",
+        "no-demo-mode-option", "no-solve-tol-option", "no-optimize-cap-option"])
 def test_error_contract(capsys, monkeypatch, tmp_path, argv, problem, env, code,
                         out_has, err_has):
     if env is None:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from relq.grades import MIN, PRODUCT
 from relq.relations import (InfImplication, MaxMin, MaxProduct, Relation,
-                            SupT, alpha_cut, compose, composition_by_name,
+                            SupT, alpha_cut, as_grid, compose, composition_by_name,
                             identity, relation_properties, relational_join,
                             transitive_closure, transpose)
 
@@ -32,6 +32,18 @@ def test_relation_basics():
         Relation([[0.5], [0.2, 0.3]])
     with pytest.raises(ValueError):
         Relation([[1.5]])
+
+
+@pytest.mark.parametrize("cells, rows", [
+    ([[0.5], [0.2, 0.3]], "row 1 has length 2"),
+    ([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7], [0.8, 0.9]],
+     "row 2 has length 1, row 3 has length 2"),
+    ([[0.1, 0.2], 0.3], "row 1 has length 1"),
+], ids=["longer-row", "two-bad-rows", "scalar-row"])
+def test_ragged_grid_names_the_rows(cells, rows):
+    for make in (Relation, as_grid):
+        with pytest.raises(ValueError, match=f"ragged grid: row 0 has length .* but {rows}"):
+            make(cells)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.5])

@@ -6,16 +6,16 @@ import pytest
 from relq.grades import MIN, PRODUCT, godel
 from relq.relations import MaxMin, MaxProduct, Relation
 from relq.solve import (CapExceeded, FreProblem, InfeasibleError,
-                        binding_sets, classify_attainability, combinatorial_cap,
-                        constrained_greatest, gavalec_certificate,
-                        greatest_solution_relation, kagei_type1,
+                        binding_columns, binding_sets, classify_attainability,
+                        combinatorial_cap, constrained_greatest, cover_search,
+                        gavalec_certificate, greatest_solution_relation, kagei_type1,
                         kagei_type2_unique, max_solution,
                         minimal_solutions_archimedean,
                         minimal_solutions_lambda,
                         minimal_solutions_matrix_pattern, solve,
                         specificity_shift_fit, sre_solvability_criteria)
 
-from .oracles import grid_in_union, grid_solutions, minimal_set_key
+from .oracles import grid_in_union, grid_solutions, minimal_set_key, product_minimals
 
 GRID5 = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -102,7 +102,7 @@ def test_three_methods_agree():
         pm = FreProblem(A, FreProblem(A, np.zeros(n)).lhs(x0))
         k1 = minimal_set_key(minimal_solutions_lambda(pm).minimals)
         k2 = minimal_set_key(minimal_solutions_matrix_pattern(pm).minimals)
-        assert k1 == k2
+        assert k1 == k2 == minimal_set_key(product_minimals(pm))
         pp = FreProblem(A, FreProblem(A, np.zeros(n), MaxProduct()).lhs(x0),
                         MaxProduct())
         keys = [
@@ -111,7 +111,7 @@ def test_three_methods_agree():
                        minimal_solutions_matrix_pattern,
                        minimal_solutions_archimedean)
         ]
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1] == keys[2] == minimal_set_key(product_minimals(pp))
 
 
 def test_minimals_are_solutions_and_minimal():
@@ -127,11 +127,55 @@ def test_minimals_are_solutions_and_minimal():
                             and np.any(other < m - 1e-9))
 
 
+METHODS = [minimal_solutions_lambda, minimal_solutions_matrix_pattern,
+           minimal_solutions_archimedean]
+
+
 def test_cap_exceeded():
     A = np.full((8, 8), 0.5)
     b = np.full(8, 0.5)
     with pytest.raises(CapExceeded):
         minimal_solutions_lambda(FreProblem(A, b), cap=10)
+
+
+@pytest.mark.parametrize("method", METHODS, ids=["lambda", "pattern", "archimedean"])
+def test_cap_at_the_count(method):
+    # rows 2j and 2j+1 bind column j: 2^8 minimal solutions, and each method's
+    # count (combinations, leaves, last-level candidates) is exactly 256
+    A = np.zeros((16, 8))
+    A[np.arange(16), np.arange(16) // 2] = 1.0
+    p = FreProblem(A, np.full(8, 0.5), MaxProduct())
+    with pytest.raises(CapExceeded):
+        method(p, cap=255)
+    want = []
+    for k in range(256):
+        x = np.zeros(16)
+        x[2 * np.arange(8) + (k >> np.arange(8) & 1)] = 0.5
+        want.append(x)
+    assert minimal_set_key(method(p, cap=256).minimals) == minimal_set_key(want)
+
+
+def test_cover_search_skips_covered_columns_and_prunes():
+    p = FreProblem(np.full((7, 7), 0.5), np.full(7, 0.5), MaxProduct())
+    x_hat, sets, cols = binding_columns(p)
+    assert sets == [list(range(7))] * 7
+    assert cols == [[(i, 1.0) for i in range(7)]] * 7
+    leaves = []
+    cover_search(cols, range(7), np.zeros(7), lambda x: leaves.append(x.copy()))
+    assert minimal_set_key(leaves) == minimal_set_key(np.eye(7))
+    leaves = []
+    cover_search(cols, range(7), np.zeros(7), lambda x: leaves.append(x.copy()),
+                 prune=lambda x: x[0] > 0)
+    assert minimal_set_key(leaves) == minimal_set_key(np.eye(7)[1:])
+
+
+@pytest.mark.parametrize("method", METHODS, ids=["lambda", "pattern", "archimedean"])
+def test_cap_allows_streaming(method):
+    # 7^7 binding combinations fit the cap; the first raised row covers every
+    # column, so the search sees seven leaves, not 823 543 combinations
+    p = FreProblem(np.full((7, 7), 0.5), np.full(7, 0.5), MaxProduct())
+    res = method(p, cap=7 ** 7)
+    assert minimal_set_key(res.minimals) == minimal_set_key(np.eye(7))
 
 
 def test_archimedean_requires_archimedean():
