@@ -326,10 +326,13 @@ def cmd_demo(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
+def _add_common(sp, *shared):
+    """--format, plus those of --round and --comp named in shared."""
     sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    sp.add_argument("--round", type=int, default=None)
-    sp.add_argument("--comp", default="max-min")
+    if "round" in shared:
+        sp.add_argument("--round", type=int, default=None)
+    if "comp" in shared:
+        sp.add_argument("--comp", default="max-min")
 
 
 def build_parser():
@@ -341,7 +344,7 @@ def build_parser():
     sp.add_argument("left")
     sp.add_argument("right")
     sp.add_argument("--mode", choices=("graded", "absorbing"), default=None)
-    _add_common(sp)
+    _add_common(sp, "round", "comp")
     sp.set_defaults(func=cmd_compose)
 
     sp = sub.add_parser("solve", help="solve x∘A=b")
@@ -350,13 +353,13 @@ def build_parser():
                     default="lambda")
     sp.add_argument("--cap", type=int, default=None,
                     help="cap on enumerated combinations (default: RELQ_CAP or 10^6)")
-    _add_common(sp)
+    _add_common(sp, "round", "comp")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("optimize", help="minimize a linear cost over solutions")
     sp.add_argument("problem")
     sp.add_argument("--c", default=None, help="comma-separated cost row")
-    _add_common(sp)
+    _add_common(sp, "round", "comp")
     sp.set_defaults(func=cmd_optimize)
 
     sp = sub.add_parser("learn", help="learn W from training samples")
@@ -366,7 +369,7 @@ def build_parser():
     sp.add_argument("--tnorm", default="min")
     sp.add_argument("--eta", type=float, default=0.1)
     sp.add_argument("--tol", type=float, default=1e-6)
-    _add_common(sp)
+    _add_common(sp, "round")
     sp.set_defaults(func=cmd_learn)
 
     sp = sub.add_parser("diagnose", help="diagnosis sets from knowledge JSON")
@@ -378,7 +381,7 @@ def build_parser():
     sp.add_argument("name")
     sp.add_argument("--blocks", type=int, default=5)
     sp.add_argument("--alpha", type=float, action="append", default=None)
-    _add_common(sp)
+    _add_common(sp, "round")
     sp.set_defaults(func=cmd_demo)
 
     return ap

@@ -7,6 +7,16 @@ differ: "absorbing" treats every indeterminate as the unlabeled I that
 swallows nonzero reals under min/max; "graded" orders grades by coefficient
 and keeps the winning operand's kind.  Mode is an explicit argument on
 every public operation.
+
+The operations work on (indet, coeff) array pairs: a boolean array that
+marks the indeterminate cells and a float array of coefficients.  A
+coefficient of 0 is always real.  Graded min/max take the smaller/larger
+coefficient and the kind the operands share; across kinds a tie
+(|Δcoeff| <= TOL) is indeterminate, otherwise the winner's kind is kept.
+Absorbing min/max treat every nonzero nI as I (coefficient 1), with
+I ∧ 0 = 0 and I ∨ x = I.  ``NeutroRelation`` keeps its cells as
+``NeutroGrade`` objects; they are converted to pairs and back only at the
+boundary of an operation.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grades import TOL, godel
+from .grades import TOL
 
 MODES = ("graded", "absorbing")
 
@@ -114,49 +124,57 @@ def neutro_format(g: NeutroGrade):
 
 
 # ---------------------------------------------------------------------------
-# min / max in the two modes
+# min / max in the two modes, on (indet, coeff) pairs
 # ---------------------------------------------------------------------------
 
-def _absorbing_normal(g: NeutroGrade):
-    """In absorbing mode every nonzero indeterminate acts as the unlabeled I."""
-    if g.is_indet and g.coeff > 0.0:
-        return I(1.0)
-    return g
+def _pairs(grades):
+    """(indet, coeff) arrays of a nested list of grades."""
+    return (np.array([[g.is_indet for g in row] for row in grades], dtype=bool),
+            np.array([[g.coeff for g in row] for row in grades], dtype=float))
+
+
+def _grades(indet, coeff):
+    """Nested list of grades from (indet, coeff) arrays."""
+    return [[NeutroGrade("indet" if k else "real", c) for k, c in zip(krow, crow)]
+            for krow, crow in zip(indet.tolist(), coeff.tolist())]
+
+
+def _graded_kind(ka, ca, kb, cb, a_wins, coeff):
+    """Kind of a graded min/max: the kind both share, else indeterminate on
+    a tie and the winner's kind otherwise; a zero coefficient is real."""
+    tie = np.abs(ca - cb) <= TOL
+    return np.where(ka == kb, ka, tie | np.where(a_wins, ka, kb)) & (coeff > 0.0)
+
+
+def _n_min(mode, ka, ca, kb, cb):
+    coeff = np.minimum(ca, cb)
+    if mode == "absorbing":
+        kind = (ka | kb) & (ca != 0.0) & (cb != 0.0)
+        return kind, np.where(kind, 1.0, coeff)
+    return _graded_kind(ka, ca, kb, cb, ca < cb, coeff), coeff
+
+
+def _n_max(mode, ka, ca, kb, cb):
+    coeff = np.maximum(ca, cb)
+    if mode == "absorbing":
+        kind = ka | kb
+        return kind, np.where(kind, 1.0, coeff)
+    return _graded_kind(ka, ca, kb, cb, ca > cb, coeff), coeff
+
+
+def _scalar(rule, mode, a, b):
+    _check_mode(mode)
+    a, b = as_neutro(a), as_neutro(b)
+    kind, coeff = rule(mode, a.is_indet, a.coeff, b.is_indet, b.coeff)
+    return NeutroGrade("indet" if kind else "real", float(coeff))
 
 
 def neutro_min(mode, a, b):
-    _check_mode(mode)
-    a, b = as_neutro(a), as_neutro(b)
-    if mode == "absorbing":
-        a, b = _absorbing_normal(a), _absorbing_normal(b)
-        if a.is_indet or b.is_indet:
-            other = b if a.is_indet else a
-            if other.is_real and other.coeff == 0.0:
-                return R(0.0)
-            return I(1.0)
-        return R(min(a.coeff, b.coeff))
-    # graded: same-kind pairs reduce to plain coefficient comparison
-    if a.kind == b.kind:
-        return a if a.coeff <= b.coeff else b
-    if abs(a.coeff - b.coeff) <= TOL:
-        return I(min(a.coeff, b.coeff))
-    return a if a.coeff < b.coeff else b
+    return _scalar(_n_min, mode, a, b)
 
 
 def neutro_max(mode, a, b):
-    _check_mode(mode)
-    a, b = as_neutro(a), as_neutro(b)
-    if mode == "absorbing":
-        a, b = _absorbing_normal(a), _absorbing_normal(b)
-        if a.is_indet or b.is_indet:
-            return I(1.0)
-        return R(max(a.coeff, b.coeff))
-    # graded: same-kind pairs reduce to plain coefficient comparison
-    if a.kind == b.kind:
-        return a if a.coeff >= b.coeff else b
-    if abs(a.coeff - b.coeff) <= TOL:
-        return I(max(a.coeff, b.coeff))
-    return a if a.coeff > b.coeff else b
+    return _scalar(_n_max, mode, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -259,78 +277,64 @@ class NeutroRelation:
         return cls(rows), mode
 
 
+def _compose_pairs(mode, Pk, Pc, Qk, Qc):
+    """Max-min composition of pair arrays, folded over the middle index in
+    order (graded ties make the fold order-dependent)."""
+    acc = _n_min(mode, Pk[:, :1], Pc[:, :1], Qk[:1], Qc[:1])
+    for j in range(1, Pk.shape[1]):
+        term = _n_min(mode, Pk[:, j:j + 1], Pc[:, j:j + 1], Qk[j:j + 1], Qc[j:j + 1])
+        acc = _n_max(mode, *acc, *term)
+    return acc
+
+
 def neutro_compose(mode, P: NeutroRelation, Q: NeutroRelation) -> NeutroRelation:
     """Max-min matrix composition under the selected mode."""
     _check_mode(mode)
     if P.cols != Q.rows:
         raise ValueError(f"dimension mismatch: {P.rows}x{P.cols} vs {Q.rows}x{Q.cols}")
-    out = []
-    for i in range(P.rows):
-        row = []
-        for k in range(Q.cols):
-            acc = None
-            for j in range(P.cols):
-                term = neutro_min(mode, P[i, j], Q[j, k])
-                acc = term if acc is None else neutro_max(mode, acc, term)
-            row.append(acc)
-        out.append(row)
-    return NeutroRelation(out)
+    return NeutroRelation(_grades(*_compose_pairs(mode, *_pairs(P.cells), *_pairs(Q.cells))))
 
 
 # ---------------------------------------------------------------------------
 # Maximum solution of A_N ⊗ x = b_N
 # ---------------------------------------------------------------------------
 
-def _neutro_at(a: NeutroGrade, b: NeutroGrade) -> NeutroGrade:
+def _neutro_at(ka, ca, kb, cb):
     """Greatest-solution operator: 1 when a <= b, b when a > b, I for
     incomparable (cross-kind) pairs."""
-    if a.kind == b.kind:
-        if a.is_real:
-            return R(godel(a.coeff, b.coeff))
-        if a.coeff <= b.coeff + TOL:
-            return R(1.0)
-        return b
-    return I(1.0)
+    le = ca <= cb + TOL
+    cross = ka != kb
+    return cross | (kb & ~le), np.where(le | cross, 1.0, cb)
+
+
+def _column_system(A_N: NeutroRelation, b_N):
+    """Pair arrays of A_N (m×n) and of b_N (1×n)."""
+    b_N = [as_neutro(v) for v in b_N]
+    if len(b_N) != A_N.cols:
+        raise ValueError(f"A has {A_N.cols} columns but b has {len(b_N)} entries")
+    return _pairs(A_N.cells) + _pairs([b_N])
 
 
 def nre_max_solution(A_N: NeutroRelation, b_N, mode):
     """Greatest-solution candidate of the column system A_N ⊗ x = b_N;
     None when the composition check fails."""
     _check_mode(mode)
-    b_N = [as_neutro(v) for v in b_N]
-    if len(b_N) != A_N.cols:
-        raise ValueError(f"A has {A_N.cols} columns but b has {len(b_N)} entries")
-    x_hat = []
-    for i in range(A_N.rows):
-        acc = None
-        for j in range(A_N.cols):
-            term = _neutro_at(A_N[i, j], b_N[j])
-            acc = term if acc is None else neutro_min(mode, acc, term)
-        x_hat.append(acc)
+    Ak, Ac, bk, bc = _column_system(A_N, b_N)
+    tk, tc = _neutro_at(Ak, Ac, bk, bc)
+    xk, xc = tk[:, 0], tc[:, 0]
+    for j in range(1, A_N.cols):
+        xk, xc = _n_min(mode, xk, xc, tk[:, j], tc[:, j])
     # verify x ∘ A = b
-    xrel = NeutroRelation([x_hat])
-    image = neutro_compose(mode, xrel, A_N)
-    if all(image[0, j] == b_N[j] for j in range(A_N.cols)):
-        return x_hat
+    ik, ic = _compose_pairs(mode, xk[None], xc[None], Ak, Ac)
+    if np.all((ik == bk) & (np.abs(ic - bc) <= TOL)):
+        return _grades(xk[None], xc[None])[0]
     return None
 
 
 def n_pseudo_char_matrix(A_N: NeutroRelation, b_N):
     """Sign pattern against b: '1'/'0'/'-1' for real-real cells,
     'I'/'0'/'-I' for indeterminate pairs, 'I' for mixed kinds."""
-    b_N = [as_neutro(v) for v in b_N]
-    out = []
-    for i in range(A_N.rows):
-        row = []
-        for j in range(A_N.cols):
-            a, b = A_N[i, j], b_N[j]
-            if a.kind != b.kind:
-                row.append("I")
-            elif abs(a.coeff - b.coeff) <= TOL:
-                row.append("0")
-            elif a.coeff > b.coeff:
-                row.append("1" if a.is_real else "I")
-            else:
-                row.append("-1" if a.is_real else "-I")
-        out.append(row)
-    return out
+    Ak, Ac, bk, bc = _column_system(A_N, b_N)
+    return np.select([Ak != bk, np.abs(Ac - bc) <= TOL, Ac > bc],
+                     ["I", "0", np.where(Ak, "I", "1")],
+                     np.where(Ak, "-I", "-1")).tolist()

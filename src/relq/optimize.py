@@ -16,10 +16,7 @@ import numpy as np
 
 from .grades import TOL
 from .relations import MaxMin, as_grid
-from .solve import (
-    FreProblem, InfeasibleError, attain_value, attains, binding_columns, binding_sets,
-    cover_search, max_solution,
-)
+from .solve import FreProblem, attains, binding_columns, cover_search
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +150,10 @@ def equivalence_reduce(A, b):
     equivalently 0.  Solution set is preserved (max-min)."""
     A = as_grid(A).copy()
     b = np.asarray(b, float).ravel()
-    m, n = A.shape
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m):
-            for j1 in range(n):
-                if A[i, j1] < b[j1] - TOL or A[i, j1] <= TOL:
-                    continue
-                for j2 in range(n):
-                    if b[j1] > b[j2] + TOL and A[i, j2] > b[j2] + TOL:
-                        A[i, j1] = 0.0
-                        changed = True
-                        break
+    # zeroing a cell never removes the smallest-b witness of its row, so
+    # one pass against that witness gives the fixed point
+    low = np.where(A > b + TOL, b, np.inf).min(axis=1, initial=np.inf, keepdims=True)
+    A[(A >= b - TOL) & (A > TOL) & (b > low + TOL)] = 0.0
     return A
 
 
@@ -206,22 +194,15 @@ class _GaContext:
     def __init__(self, p: FreProblem):
         if not isinstance(p.composition, MaxMin):
             raise ValueError("genetic operators are defined for max-min systems only")
-        x_hat = max_solution(p)
-        if x_hat is None:
-            raise InfeasibleError("infeasible")
-        A_red = equivalence_reduce(p.A, p.b)
         self.problem = p
-        self.reduced = FreProblem(A_red, p.b, MaxMin())
-        self.x_hat = x_hat
-        self.sets = binding_sets(self.reduced, x_hat)
-        self.vals = {
-            (i, j): attain_value(self.reduced, i, j)
-            for j, s in enumerate(self.sets) for i in s
-        }
+        self.reduced = FreProblem(equivalence_reduce(p.A, p.b), p.b, MaxMin())
+        # the reduction keeps the greatest solution
+        self.x_hat, self.sets, cols = binding_columns(self.reduced)
+        self.vals = {(i, j): v for j, col in enumerate(cols) for i, v in col}
         # per row, the largest b_j the reduced row can reach (0 when none)
-        reach = A_red >= p.b - TOL
+        reach = self.reduced.A >= p.b - TOL
         lb = np.where(reach.any(axis=1), np.where(reach, p.b, -np.inf).max(axis=1), 0.0)
-        self.lb_max = np.minimum(lb, x_hat)
+        self.lb_max = np.minimum(lb, self.x_hat)
 
     def repair(self, x, rng):
         """Project a vector into the solution set: clamp into [0, x_hat] and

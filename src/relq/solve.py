@@ -295,46 +295,21 @@ def gavalec_certificate(A, b) -> GavalecCertificate:
     """
     A = as_grid(A)
     b = np.asarray(b, float).ravel()
-    m, n = A.shape
-    if b.shape[0] != m:
-        raise ValueError(f"A has {m} rows but b has {b.shape[0]} entries")
-    touches = 0
-    x_bar = np.ones(n)
-    for j in range(n):
-        for i in range(m):
-            touches += 1
-            if A[i, j] > b[i] + TOL and b[i] < x_bar[j]:
-                x_bar[j] = b[i]
-    I, K = [], []
-    for j in range(n):
-        Ij, Kj = [], []
-        for i in range(m):
-            touches += 1
-            if A[i, j] >= b[i] - TOL and abs(b[i] - x_bar[j]) <= TOL:
-                Ij.append(i)
-            elif abs(A[i, j] - b[i]) <= TOL and b[i] < x_bar[j] - TOL:
-                Kj.append(i)
-        I.append(Ij)
-        K.append(Kj)
-    covered = [False] * m
-    in_k = [False] * m
-    i_count = [0] * m
-    for j in range(n):
-        for i in I[j]:
-            covered[i] = True
-            i_count[i] += 1
-        for i in K[j]:
-            covered[i] = True
-            in_k[i] = True
-    solvable = all(covered)
-    unique = solvable
-    if solvable:
-        for j in range(n):
-            if x_bar[j] <= TOL:
-                continue
-            if not any(i_count[i] == 1 and not in_k[i] for i in I[j]):
-                unique = False
-                break
+    if b.shape[0] != A.shape[0]:
+        raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
+    bi = b[:, None]
+    # pass 1: x̄_j = min(1, min b over M_j)
+    x_bar = np.where(A > bi + TOL, bi, np.inf).min(axis=0, initial=1.0)
+    # pass 2: the I and K masks
+    I = (A >= bi - TOL) & (np.abs(bi - x_bar) <= TOL)
+    K = (np.abs(A - bi) <= TOL) & (bi < x_bar - TOL)
+    touches = 2 * A.size  # each pass reads every cell once
+    solvable = bool((I | K).any(axis=1).all())
+    # a row is owned by a column when it is covered only through that I_j
+    own = (I.sum(axis=1) == 1) & ~K.any(axis=1)
+    unique = solvable and bool(((I & own[:, None]).any(axis=0) | (x_bar <= TOL)).all())
+    I = [np.flatnonzero(col).tolist() for col in I.T]
+    K = [np.flatnonzero(col).tolist() for col in K.T]
     return GavalecCertificate(solvable, unique, x_bar, I, K, touches)
 
 

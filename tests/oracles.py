@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from relq.grades import TOL
+from relq.neutro import I, NeutroRelation, R, as_neutro
 from relq.solve import FreProblem, InfeasibleError, attain_value, binding_sets, max_solution
 
 
@@ -147,3 +148,176 @@ def delta_rule_K_loops(t, A, B):
                 if cand < W[k, j]:
                     W[k, j] = cand
     return W, fallback
+
+
+# ---------------------------------------------------------------------------
+# Per-cell neutrosophic rules and loops the (indet, coeff) arrays must
+# reproduce exactly
+# ---------------------------------------------------------------------------
+
+def _absorbing_normal(g):
+    """In absorbing mode every nonzero indeterminate acts as the unlabeled I."""
+    if g.is_indet and g.coeff > 0.0:
+        return I(1.0)
+    return g
+
+
+def neutro_min_scalar(mode, a, b):
+    a, b = as_neutro(a), as_neutro(b)
+    if mode == "absorbing":
+        a, b = _absorbing_normal(a), _absorbing_normal(b)
+        if a.is_indet or b.is_indet:
+            other = b if a.is_indet else a
+            if other.is_real and other.coeff == 0.0:
+                return R(0.0)
+            return I(1.0)
+        return R(min(a.coeff, b.coeff))
+    if a.kind == b.kind:
+        return a if a.coeff <= b.coeff else b
+    if abs(a.coeff - b.coeff) <= TOL:
+        return I(min(a.coeff, b.coeff))
+    return a if a.coeff < b.coeff else b
+
+
+def neutro_max_scalar(mode, a, b):
+    a, b = as_neutro(a), as_neutro(b)
+    if mode == "absorbing":
+        a, b = _absorbing_normal(a), _absorbing_normal(b)
+        if a.is_indet or b.is_indet:
+            return I(1.0)
+        return R(max(a.coeff, b.coeff))
+    if a.kind == b.kind:
+        return a if a.coeff >= b.coeff else b
+    if abs(a.coeff - b.coeff) <= TOL:
+        return I(max(a.coeff, b.coeff))
+    return a if a.coeff > b.coeff else b
+
+
+def neutro_compose_loops(mode, P, Q):
+    """Max-min composition of NeutroRelations, one scalar min/max per term."""
+    out = []
+    for i in range(P.rows):
+        row = []
+        for k in range(Q.cols):
+            acc = None
+            for j in range(P.cols):
+                term = neutro_min_scalar(mode, P[i, j], Q[j, k])
+                acc = term if acc is None else neutro_max_scalar(mode, acc, term)
+            row.append(acc)
+        out.append(row)
+    return NeutroRelation(out)
+
+
+def _neutro_at_scalar(a, b):
+    if a.kind == b.kind:
+        if a.is_real:
+            return R(SCALAR_IMPLICATIONS["godel"](a.coeff, b.coeff))
+        if a.coeff <= b.coeff + TOL:
+            return R(1.0)
+        return b
+    return I(1.0)
+
+
+def nre_max_solution_loops(A_N, b_N, mode):
+    b_N = [as_neutro(v) for v in b_N]
+    x_hat = []
+    for i in range(A_N.rows):
+        acc = None
+        for j in range(A_N.cols):
+            term = _neutro_at_scalar(A_N[i, j], b_N[j])
+            acc = term if acc is None else neutro_min_scalar(mode, acc, term)
+        x_hat.append(acc)
+    image = neutro_compose_loops(mode, NeutroRelation([x_hat]), A_N)
+    if all(image[0, j] == b_N[j] for j in range(A_N.cols)):
+        return x_hat
+    return None
+
+
+def n_pseudo_char_loops(A_N, b_N):
+    b_N = [as_neutro(v) for v in b_N]
+    out = []
+    for i in range(A_N.rows):
+        row = []
+        for j in range(A_N.cols):
+            a, b = A_N[i, j], b_N[j]
+            if a.kind != b.kind:
+                row.append("I")
+            elif abs(a.coeff - b.coeff) <= TOL:
+                row.append("0")
+            elif a.coeff > b.coeff:
+                row.append("1" if a.is_real else "I")
+            else:
+                row.append("-1" if a.is_real else "-I")
+        out.append(row)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The certificate and the equivalence reduction, cell by cell
+# ---------------------------------------------------------------------------
+
+def gavalec_loops(A, b):
+    """(solvable, unique, x_bar, I, K, touches) of A ⊗ x = b, walking the
+    grid once for x̄ and once for the I and K sets."""
+    A = np.asarray(A, float)
+    b = np.asarray(b, float).ravel()
+    m, n = A.shape
+    touches = 0
+    x_bar = np.ones(n)
+    for j in range(n):
+        for i in range(m):
+            touches += 1
+            if A[i, j] > b[i] + TOL and b[i] < x_bar[j]:
+                x_bar[j] = b[i]
+    I_sets, K_sets = [], []
+    for j in range(n):
+        Ij, Kj = [], []
+        for i in range(m):
+            touches += 1
+            if A[i, j] >= b[i] - TOL and abs(b[i] - x_bar[j]) <= TOL:
+                Ij.append(i)
+            elif abs(A[i, j] - b[i]) <= TOL and b[i] < x_bar[j] - TOL:
+                Kj.append(i)
+        I_sets.append(Ij)
+        K_sets.append(Kj)
+    covered = [False] * m
+    in_k = [False] * m
+    i_count = [0] * m
+    for j in range(n):
+        for i in I_sets[j]:
+            covered[i] = True
+            i_count[i] += 1
+        for i in K_sets[j]:
+            covered[i] = True
+            in_k[i] = True
+    solvable = all(covered)
+    unique = solvable
+    if solvable:
+        for j in range(n):
+            if x_bar[j] <= TOL:
+                continue
+            if not any(i_count[i] == 1 and not in_k[i] for i in I_sets[j]):
+                unique = False
+                break
+    return solvable, unique, x_bar, I_sets, K_sets, touches
+
+
+def equivalence_reduce_loops(A, b):
+    """Zero a_ij1 (a_ij1 >= b_j1 > 0) while some j2 has b_j1 > b_j2 and
+    a_ij2 > b_j2, sweeping until nothing changes."""
+    A = np.array(A, float)
+    b = np.asarray(b, float).ravel()
+    m, n = A.shape
+    changed = True
+    while changed:
+        changed = False
+        for i in range(m):
+            for j1 in range(n):
+                if A[i, j1] < b[j1] - TOL or A[i, j1] <= TOL:
+                    continue
+                for j2 in range(n):
+                    if b[j1] > b[j2] + TOL and A[i, j2] > b[j2] + TOL:
+                        A[i, j1] = 0.0
+                        changed = True
+                        break
+    return A

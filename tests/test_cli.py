@@ -173,6 +173,9 @@ def test_round_flag_half_up(capsys, tmp_path):
 
 
 GOOD = {"A": [[0.5, 0.3], [0.7, 0.3]], "b": [0.5, 0.3]}
+TRAINING = {"inputs": [[0.5, 0.7]], "targets": [[0.5, 0.3]]}
+KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["m1"]},
+             "observed_present": ["m1"]}
 
 
 @pytest.mark.parametrize("argv, problem, env, code, out_has, err_has", [
@@ -201,10 +204,19 @@ GOOD = {"A": [[0.5, 0.3], [0.7, 0.3]], "b": [0.5, 0.3]}
     (["demo", "pallavan", "--mode", "graded"], None, None, 1, "", ""),
     (["solve", "--tol", "0.5"], GOOD, None, 1, "", ""),
     (["optimize", "--c", "2,1", "--cap", "5"], GOOD, None, 1, "", ""),
+    # --comp only where a composition is read, --round only where grades print
+    (["learn"], TRAINING, None, 0, '"W"', ""),
+    (["learn", "--comp", "sup-t:drastic"], TRAINING, None, 1, "", ""),
+    (["diagnose"], KNOWLEDGE, None, 0, '"D_hat"', ""),
+    (["diagnose", "--comp", "max-min"], KNOWLEDGE, None, 1, "", ""),
+    (["diagnose", "--round", "2"], KNOWLEDGE, None, 1, "", ""),
+    (["demo", "pallavan", "--comp", "max-min"], None, None, 1, "", ""),
 ], ids=["solve-nan-in-A", "solve-A-above-1", "optimize-inf-in-b", "optimize-drastic",
         "optimize-infeasible", "solve-bad-env-cap", "solve-flag-cap-wins",
         "solve-env-cap-fits", "solve-env-cap-exceeded", "solve-ragged-A", "no-seed-option",
-        "no-demo-mode-option", "no-solve-tol-option", "no-optimize-cap-option"])
+        "no-demo-mode-option", "no-solve-tol-option", "no-optimize-cap-option",
+        "learn-ok", "no-learn-comp-option", "diagnose-ok", "no-diagnose-comp-option",
+        "no-diagnose-round-option", "no-demo-comp-option"])
 def test_error_contract(capsys, monkeypatch, tmp_path, argv, problem, env, code,
                         out_has, err_has):
     if env is None:

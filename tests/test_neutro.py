@@ -131,3 +131,10 @@ def test_n_pseudo_char_matrix():
     An = NeutroRelation([["0.5", "0.2I"], ["0.3", "0.3"]])
     out = n_pseudo_char_matrix(An, ["0.3", "0.3I"])
     assert out == [["1", "-I"], ["0", "I"]]
+
+
+def test_n_pseudo_char_matrix_checks_b_length():
+    An = NeutroRelation([["0.5", "0.2I"], ["0.3", "0.3"]])
+    for b in (["0.3"], ["0.3", "0.3I", "0.1"]):
+        with pytest.raises(ValueError, match="A has 2 columns but b has"):
+            n_pseudo_char_matrix(An, b)
