@@ -68,7 +68,8 @@ class NeutroGrade:
         return self.kind == other.kind and abs(self.coeff - other.coeff) <= TOL
 
     def __hash__(self):
-        return hash((self.kind, round(self.coeff, 9)))
+        # equal grades may differ by TOL in coeff, so only the kind is hashed
+        return hash(self.kind)
 
     def __repr__(self):
         return f"NeutroGrade({neutro_format(self)!r})"

@@ -4,8 +4,9 @@ Linear objectives are minimized exactly by the cover search of
 ``relq.solve``, cut by the best cost found; ``reduce_problem`` reports what
 can be fixed before a search (the optimizer does not use it yet).
 Nonlinear objectives run through a feasibility-preserving genetic
-algorithm.  Multi-objective search keeps a Pareto archive, with fuzzy
-c-means available to cluster the efficient set.
+algorithm whose operators are methods of one context per system.
+Multi-objective search keeps a Pareto archive, checking each new point
+against all archived ones in one array pass; fuzzy c-means clusters it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ class LinearFreProblem:
             raise ValueError(
                 f"cost vector has {self.c.shape[0]} entries for {self.base.m} rows"
             )
+        if not np.all(np.isfinite(self.c)):
+            raise ValueError(f"cost vector must be finite, got {self.c[~np.isfinite(self.c)][0]}")
 
 
 def split_costs(c):
@@ -178,19 +181,10 @@ class GaConfig:
                 raise ValueError("probabilities must lie in [0, 1]")
 
 
-def _raise_unattained(x, p: FreProblem, vals, pick):
-    """Walk the constraints in order; for each one no row attains under the
-    current x, raise the row pick(j) to its attaining value (in place)."""
-    missed = ~attains(p, x).any(axis=0)
-    for j in range(p.n):
-        if missed[j]:
-            i = pick(j)
-            x[i] = max(x[i], vals[(i, j)])
-            missed = ~attains(p, x).any(axis=0)
-    return x
-
-
 class _GaContext:
+    """The GA operators on one max-min system, with what they share: x_hat,
+    the binding sets I_j of the reduced system and their attaining values."""
+
     def __init__(self, p: FreProblem):
         if not isinstance(p.composition, MaxMin):
             raise ValueError("genetic operators are defined for max-min systems only")
@@ -203,13 +197,56 @@ class _GaContext:
         reach = self.reduced.A >= p.b - TOL
         lb = np.where(reach.any(axis=1), np.where(reach, p.b, -np.inf).max(axis=1), 0.0)
         self.lb_max = np.minimum(lb, self.x_hat)
+        # the rows a mutation may lower: those sharing a binding set
+        self.decrease = sorted({i for s in self.sets if len(s) > 1 for i in s})
+
+    def _raise_unattained(self, x, pick):
+        """Walk the constraints in order; for each one no row attains under
+        the current x, raise the row pick(j) to its attaining value (in place)."""
+        p = self.problem
+        missed = ~attains(p, x).any(axis=0)
+        for j in range(p.n):
+            if missed[j]:
+                i = pick(j)
+                x[i] = max(x[i], self.vals[(i, j)])
+                missed = ~attains(p, x).any(axis=0)
+        return x
 
     def repair(self, x, rng):
         """Project a vector into the solution set: clamp into [0, x_hat] and
         raise a binding row for every unattained constraint."""
         sets = self.sets
-        return _raise_unattained(np.clip(x, 0.0, self.x_hat), self.problem, self.vals,
-                                 lambda j: sets[j][int(rng.integers(len(sets[j])))])
+        return self._raise_unattained(np.clip(x, 0.0, self.x_hat),
+                                      lambda j: sets[j][int(rng.integers(len(sets[j])))])
+
+    def feasible(self, x, rng):
+        """x when it solves the system, its repair otherwise."""
+        return x if self.problem.is_solution(x) else self.repair(x, rng)
+
+    def mutate(self, x, rng):
+        """Feasible mutation: drop one coordinate that other rows can cover,
+        then repair any broken constraint by raising a covering row."""
+        x = np.asarray(x, float).copy()
+        if not self.decrease:
+            return x
+        k = self.decrease[int(rng.integers(len(self.decrease)))]
+        x[k] = x[k] * rng.random()
+
+        # repair broken constraints, preferring rows other than the decreased one
+        def pick(j):
+            pool = [i for i in self.sets[j] if i != k] or self.sets[j]
+            return pool[int(rng.integers(len(pool)))]
+        return self.feasible(self._raise_unattained(x, pick), rng)
+
+    def crossover(self, x1, x2, superpoint, rng):
+        """Contraction of x1 toward the superpoint, extraction of x2 away from
+        its partner; both children repaired to feasibility."""
+        x1, x2, superpoint = (np.asarray(v, float) for v in (x1, x2, superpoint))
+        lam = rng.random()
+        child1 = lam * x1 + (1.0 - lam) * superpoint
+        gamma = 1.0 + rng.random()
+        child2 = np.clip(gamma * x2 - (gamma - 1.0) * x1, 0.0, 1.0)
+        return self.feasible(child1, rng), self.feasible(child2, rng)
 
 
 def _start(p: FreProblem, cfg: GaConfig):
@@ -218,13 +255,8 @@ def _start(p: FreProblem, cfg: GaConfig):
     is feasible), repaired as a safety net."""
     ctx = _GaContext(p)
     rng = np.random.default_rng(cfg.rng_seed)
-    pop = []
-    for _ in range(cfg.population_size):
-        u = rng.random(p.m)
-        x = ctx.lb_max + u * (ctx.x_hat - ctx.lb_max)
-        if not p.is_solution(x):
-            x = ctx.repair(x, rng)
-        pop.append(x)
+    pop = [ctx.feasible(ctx.lb_max + rng.random(p.m) * (ctx.x_hat - ctx.lb_max), rng)
+           for _ in range(cfg.population_size)]
     return ctx, rng, pop
 
 
@@ -233,47 +265,14 @@ def ga_initialize(p: FreProblem, cfg: GaConfig):
     return _start(p, cfg)[2]
 
 
-def ga_mutate(x, p: FreProblem, rng, ctx: _GaContext | None = None):
-    """Feasible mutation: drop one coordinate that other rows can cover,
-    then repair any broken constraint by raising a covering row."""
-    ctx = ctx or _GaContext(p)
-    decrease = sorted({
-        i for j, s in enumerate(ctx.sets) if len(s) > 1 for i in s
-    })
-    if not decrease:
-        return np.asarray(x, float).copy()
-    x = np.asarray(x, float).copy()
-    k = decrease[int(rng.integers(len(decrease)))]
-    x[k] = x[k] * rng.random()
-    # repair broken constraints, preferring rows other than the decreased one
-    def pick(j):
-        pool = [i for i in ctx.sets[j] if i != k] or ctx.sets[j]
-        return pool[int(rng.integers(len(pool)))]
-    _raise_unattained(x, p, ctx.vals, pick)
-    if not p.is_solution(x):
-        x = ctx.repair(x, rng)
-    return x
+def ga_mutate(x, p: FreProblem, rng):
+    """One feasible mutation of x (see ``_GaContext.mutate``)."""
+    return _GaContext(p).mutate(x, rng)
 
 
-def ga_crossover(x1, x2, superpoint, rng, p: FreProblem | None = None,
-                 ctx: _GaContext | None = None):
-    """Contraction of x1 toward the superpoint, extraction of x2 away from
-    its partner; both children repaired to feasibility."""
-    x1 = np.asarray(x1, float)
-    x2 = np.asarray(x2, float)
-    superpoint = np.asarray(superpoint, float)
-    lam = rng.random()
-    child1 = lam * x1 + (1.0 - lam) * superpoint
-    gamma = 1.0 + rng.random()
-    child2 = np.clip(gamma * x2 - (gamma - 1.0) * x1, 0.0, 1.0)
-    if ctx is None and p is not None:
-        ctx = _GaContext(p)
-    if ctx is not None:
-        if not ctx.problem.is_solution(child1):
-            child1 = ctx.repair(child1, rng)
-        if not ctx.problem.is_solution(child2):
-            child2 = ctx.repair(child2, rng)
-    return child1, child2
+def ga_crossover(x1, x2, superpoint, rng, p: FreProblem):
+    """Two feasible children of x1 and x2 (see ``_GaContext.crossover``)."""
+    return _GaContext(p).crossover(x1, x2, superpoint, rng)
 
 
 def _rank_probabilities(n, q):
@@ -292,12 +291,12 @@ def _breed(pop, order, nxt, ctx: _GaContext, cfg: GaConfig, rng):
         a = pop[order[int(rng.choice(n, p=probs))]]
         b = pop[order[int(rng.choice(n, p=probs))]]
         if rng.random() < cfg.crossover_prob:
-            c1, c2 = ga_crossover(a, b, ctx.x_hat, rng, ctx=ctx)
+            c1, c2 = ctx.crossover(a, b, ctx.x_hat, rng)
         else:
             c1, c2 = a.copy(), b.copy()
         for child in (c1, c2):
             if rng.random() < cfg.mutation_prob:
-                child = ga_mutate(child, ctx.problem, rng, ctx=ctx)
+                child = ctx.mutate(child, rng)
             nxt.append(child)
     return nxt[:n]
 
@@ -324,10 +323,11 @@ def optimize_nonlinear_ga(p: FreProblem, f, cfg: GaConfig | None = None):
 # ---------------------------------------------------------------------------
 
 def dominates(z1, z2, tol=1e-12):
-    """z1 dominates z2 iff z1 <= z2 component-wise and z1 != z2."""
-    z1 = np.asarray(z1, float)
-    z2 = np.asarray(z2, float)
-    return bool(np.all(z1 <= z2 + tol) and np.any(z1 < z2 - tol))
+    """z1 dominates z2 iff z1 <= z2 component-wise and z1 != z2; either side
+    may be a stack of points (last axis), giving a boolean array."""
+    z1, z2 = np.asarray(z1, float), np.asarray(z2, float)
+    d = np.all(z1 <= z2 + tol, axis=-1) & np.any(z1 < z2 - tol, axis=-1)
+    return bool(d) if d.ndim == 0 else d
 
 
 class ParetoArchive:
@@ -335,10 +335,13 @@ class ParetoArchive:
         self.points = []
 
     def add(self, x, z):
+        """Archive (x, z) unless a point dominates or is close to z; drop the
+        points z dominates.  True when archived."""
         z = np.asarray(z, float)
-        if any(dominates(pz, z) or np.allclose(pz, z) for _, pz in self.points):
+        zs = np.reshape([pz for _, pz in self.points], (-1, z.size))
+        if (dominates(zs, z) | np.isclose(zs, z).all(axis=-1)).any():
             return False
-        self.points = [(px, pz) for px, pz in self.points if not dominates(z, pz)]
+        self.points = [pt for pt, out in zip(self.points, dominates(z, zs)) if not out]
         self.points.append((np.asarray(x, float).copy(), z))
         return True
 

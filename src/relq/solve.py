@@ -9,12 +9,12 @@ The three enumeration methods share one search over the binding columns
 (``cover_search`` for lambda and pattern, a level-by-level build-up for
 archimedean) and differ only in the constraint order and in what the cap
 counts: lambda ∏|I_j|, pattern the leaves, archimedean the candidate set
-of each level.
+of each level.  The dominance filter of the leaves and ``SolutionSet.contains``
+test a point against the whole stacked set in one array expression.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -90,10 +90,15 @@ class FreProblem:
         return comp.tnorm
 
     def lhs(self, x):
-        """Evaluate x ∘ A."""
-        return compose(self.composition, np.asarray(x, float).reshape(1, -1), self.A).cells[0]
+        """x ∘ A for x of m grades, clipped to [0, 1] as a Relation's cells are."""
+        x = np.asarray(x, float).ravel()
+        if x.size != self.m:
+            raise ValueError(f"dimension mismatch: x has {x.size} entries for {self.m} rows")
+        check_grades(x, "x")
+        return np.clip(sup_t_compose(self.tnorm(), x[None, :], self.A)[0], 0.0, 1.0)
 
     def is_solution(self, x, tol=TOL):
+        """Whether x ∘ A = b within tol (lhs rejects a malformed x)."""
         return bool(np.all(np.abs(self.lhs(x) - self.b) <= tol))
 
 
@@ -111,7 +116,8 @@ class SolutionSet:
         x = np.asarray(x, float)
         if np.any(x > self.x_hat + tol):
             return False
-        return any(np.all(x >= m - tol) for m in self.minimals)
+        lows = np.reshape(self.minimals, (len(self.minimals), x.size))
+        return bool(np.all(x >= lows - tol, axis=1).any())
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +189,18 @@ def cover_search(cols, order, x, leaf, prune=None):
 
 
 def _dominance_filter(cands, tol=TOL):
-    """Keep the cell-wise minimal elements, deduped, canonically sorted."""
-    out = []
-    for c in sorted(cands, key=lambda v: tuple(v)):
-        if not any(np.all(o <= c + tol) for o in out):
-            out.append(np.asarray(c, float))
-    # float jitter can sort a dominated vector before its dominator, letting
-    # it slip past the forward pass; sweep the (small) survivor set backwards
-    final = []
-    for c in reversed(out):
-        if not any(np.all(o <= c + tol) for o in final):
-            final.insert(0, c)
-    return final
+    """Keep the cell-wise minimal elements, deduped, canonically sorted: a
+    candidate goes when a survivor is <= it + tol in every cell."""
+    def sweep(seq):
+        out, kept = [], np.empty((len(seq), seq[0].size if seq else 0))
+        for c in seq:
+            if not np.all(kept[:len(out)] <= c + tol, axis=1).any():
+                kept[len(out)] = c
+                out.append(c)
+        return out
+
+    # backwards again: float jitter can sort a vector before its dominator
+    return sweep(sweep([np.asarray(c, float) for c in sorted(cands, key=tuple)])[::-1])[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +303,8 @@ def gavalec_certificate(A, b) -> GavalecCertificate:
     b = np.asarray(b, float).ravel()
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
+    check_grades(A, "A")
+    check_grades(b, "b")
     bi = b[:, None]
     # pass 1: x̄_j = min(1, min b over M_j)
     x_bar = np.where(A > bi + TOL, bi, np.inf).min(axis=0, initial=1.0)
@@ -371,11 +379,7 @@ def irreflexivity_condition(R, T):
     """True when every diagonal cell is forced to 0 in any solution:
     for every x there is y with R[y,x] > 0 and T[y,x] = 0."""
     R, T = as_grid(R), as_grid(T)
-    n = R.shape[1]
-    return all(
-        any(R[y, x] > TOL and T[y, x] <= TOL for y in range(R.shape[0]))
-        for x in range(n)
-    )
+    return bool(((R > TOL) & (T[:len(R), :R.shape[1]] <= TOL)).any(axis=0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +407,14 @@ def kagei_type1(pairs, size, caps=None):
 def kagei_type2_unique(pairs, xdim, ydim, slack=1e-6, max_sweeps=1000):
     """Quasi-largest relation R(x,y) whose max-min image of each training
     pattern peaks strictly at the selected output (strictness via slack)."""
-    pairs = [(np.asarray(p, float), y) for p, y in pairs]
-    for (p1, y1), (p2, y2) in itertools.combinations(pairs, 2):
-        if y1 != y2 and np.all(np.abs(p1 - p2) <= TOL):
-            raise ValueError("contradictory pairs: identical pattern, different outputs")
+    pats, ys = np.array([p for p, _ in pairs], float), np.array([y for _, y in pairs])
+    same = np.all(np.abs(pats[:, None] - pats[None]) <= TOL, axis=-1)
+    if np.any(same & (ys[:, None] != ys[None])):
+        raise ValueError("contradictory pairs: identical pattern, different outputs")
     R = np.ones((xdim, ydim))
     for _ in range(max_sweeps):
         changed = False
-        for p_vec, y_star in pairs:
+        for p_vec, y_star in zip(pats, ys):
             img = np.minimum(p_vec[:xdim, None], R)
             bound = img[:, y_star].max()
             new = max(0.0, bound - slack)
@@ -472,18 +476,15 @@ def sre_solvability_criteria(premises, mode):
     premises = [np.asarray(a, float) for a in premises]
     if mode not in ("sup-t", "inf-rho"):
         raise ValueError(f"unknown mode {mode!r}")
-    for idx, a in enumerate(premises):
-        others = [o for k, o in enumerate(premises) if k != idx]
-        exclusive = [
-            s for s in range(a.shape[0])
-            if a[s] > TOL and all(o[s] <= TOL for o in others)
-        ]
+    # a support point is exclusive when no other premise exceeds TOL there
+    shared = np.sum([~(a <= TOL) for a in premises], axis=0) > 1
+    for a in premises:
+        support = a > TOL
+        exclusive = support & ~shared
         if mode == "inf-rho":
-            if not exclusive:
+            if not exclusive.any():
                 return False
-        else:
-            support_vals = {round(float(a[s]), 12) for s in range(a.shape[0]) if a[s] > TOL}
-            excl_vals = {round(float(a[s]), 12) for s in exclusive}
-            if not support_vals <= excl_vals:
-                return False
+        elif not ({round(v, 12) for v in a[support].tolist()}
+                  <= {round(v, 12) for v in a[exclusive].tolist()}):
+            return False
     return True

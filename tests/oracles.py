@@ -321,3 +321,80 @@ def equivalence_reduce_loops(A, b):
                         changed = True
                         break
     return A
+
+
+# ---------------------------------------------------------------------------
+# Point-against-set tests one member at a time
+# ---------------------------------------------------------------------------
+
+def dominance_filter_loops(cands, tol=TOL):
+    """Cell-wise minimal elements, deduped and sorted: each candidate is
+    compared with the survivors one at a time, forwards then backwards."""
+    out = []
+    for c in sorted(cands, key=lambda v: tuple(v)):
+        if not any(np.all(o <= c + tol) for o in out):
+            out.append(np.asarray(c, float))
+    final = []
+    for c in reversed(out):
+        if not any(np.all(o <= c + tol) for o in final):
+            final.insert(0, c)
+    return final
+
+
+def dominates_pair(z1, z2, tol=1e-12):
+    z1 = np.asarray(z1, float)
+    z2 = np.asarray(z2, float)
+    return bool(np.all(z1 <= z2 + tol) and np.any(z1 < z2 - tol))
+
+
+def pareto_add_loops(points, x, z):
+    """ParetoArchive.add on a list of (x, z) pairs, one archived point at a
+    time; returns (added, new points)."""
+    z = np.asarray(z, float)
+    if any(dominates_pair(pz, z) or np.allclose(pz, z) for _, pz in points):
+        return False, points
+    points = [(px, pz) for px, pz in points if not dominates_pair(z, pz)]
+    points.append((np.asarray(x, float).copy(), z))
+    return True, points
+
+
+def contains_loops(solset, x, tol=TOL):
+    """SolutionSet.contains, one minimal solution at a time."""
+    if not solset.feasible:
+        return False
+    x = np.asarray(x, float)
+    if np.any(x > solset.x_hat + tol):
+        return False
+    return any(np.all(x >= m - tol) for m in solset.minimals)
+
+
+def irreflexivity_loops(R, T):
+    """For every x some y has R[y,x] > TOL and T[y,x] <= TOL, cell by cell."""
+    R, T = np.asarray(R, float), np.asarray(T, float)
+    return all(any(R[y, x] > TOL and T[y, x] <= TOL for y in range(R.shape[0]))
+               for x in range(R.shape[1]))
+
+
+def contradictory_pairs_loops(pairs):
+    """Whether two pairs share a pattern (within TOL) but not the output."""
+    pairs = [(np.asarray(p, float), y) for p, y in pairs]
+    return any(y1 != y2 and np.all(np.abs(p1 - p2) <= TOL)
+               for (p1, y1), (p2, y2) in itertools.combinations(pairs, 2))
+
+
+def sre_solvability_loops(premises, mode):
+    """sre_solvability_criteria with each support point of each premise
+    checked against the other premises one at a time."""
+    premises = [np.asarray(a, float) for a in premises]
+    for idx, a in enumerate(premises):
+        others = [o for k, o in enumerate(premises) if k != idx]
+        exclusive = [s for s in range(a.shape[0])
+                     if a[s] > TOL and all(o[s] <= TOL for o in others)]
+        if mode == "inf-rho":
+            if not exclusive:
+                return False
+        else:
+            support_vals = {round(float(a[s]), 12) for s in range(a.shape[0]) if a[s] > TOL}
+            if not support_vals <= {round(float(a[s]), 12) for s in exclusive}:
+                return False
+    return True

@@ -186,6 +186,9 @@ KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["
      1, "", "must be finite and lie in [0, 1]"),
     (["optimize", "--c", "1,1"], {"A": [[0.5], [0.2]], "b": [float("inf")]}, None,
      1, "", "must be finite and lie in [0, 1]"),
+    # a non-finite cost is an error, not an arithmetic failure
+    (["optimize", "--c", "nan,1"], GOOD, None, 1, "", "cost vector must be finite, got nan"),
+    (["optimize", "--c", "inf,1"], GOOD, None, 1, "", "cost vector must be finite, got inf"),
     # an unsupported composition is an error, an unsolvable system exit 2
     (["optimize", "--c", "2,1", "--comp", "sup-t:drastic"], GOOD, None,
      1, "", "continuous t-norm"),
@@ -211,7 +214,8 @@ KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["
     (["diagnose", "--comp", "max-min"], KNOWLEDGE, None, 1, "", ""),
     (["diagnose", "--round", "2"], KNOWLEDGE, None, 1, "", ""),
     (["demo", "pallavan", "--comp", "max-min"], None, None, 1, "", ""),
-], ids=["solve-nan-in-A", "solve-A-above-1", "optimize-inf-in-b", "optimize-drastic",
+], ids=["solve-nan-in-A", "solve-A-above-1", "optimize-inf-in-b", "optimize-nan-cost",
+        "optimize-inf-cost", "optimize-drastic",
         "optimize-infeasible", "solve-bad-env-cap", "solve-flag-cap-wins",
         "solve-env-cap-fits", "solve-env-cap-exceeded", "solve-ragged-A", "no-seed-option",
         "no-demo-mode-option", "no-solve-tol-option", "no-optimize-cap-option",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relq.neutro import (I, NeutroGrade, NeutroRelation, R,
@@ -12,6 +12,15 @@ from relq.solve import FreProblem, max_solution
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 GRADE = st.one_of(UNIT.map(R), UNIT.map(I))
+
+
+@given(GRADE, st.floats(min_value=-2e-9, max_value=2e-9))
+@example(R(0.5), 0.9e-9)
+@settings(max_examples=200, deadline=None)
+def test_equal_grades_hash_alike(g, delta):
+    h = NeutroGrade(g.kind, min(1.0, max(0.0, g.coeff + delta)))
+    if g == h:
+        assert hash(g) == hash(h) and len({g, h}) == 1
 
 
 def test_grade_normalization():

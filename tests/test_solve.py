@@ -208,6 +208,13 @@ def test_gavalec_touch_count():
     assert cert.cell_touches <= 2 * A.size
 
 
+@pytest.mark.parametrize("A, b", [([[np.nan, 0.5]], [0.5]), ([[2.0, 0.5]], [0.5]),
+                                  ([[0.5, 0.5]], [np.inf]), ([[0.5, 0.5]], [-0.2])])
+def test_gavalec_certificate_rejects_bad_grades(A, b):
+    with pytest.raises(ValueError, match="must be finite and lie in"):
+        gavalec_certificate(A, b)
+
+
 def test_classify_attainability():
     p = FreProblem([[0.5, 0.3], [0.7, 0.3]], [0.5, 0.3])
     labels, overall = classify_attainability(max_solution(p), p)
