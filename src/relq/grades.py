@@ -17,6 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 TOL = 1e-9
+# Objective values (a cost c·x, a fitness, an objective vector) compare with
+# this slack: far below TOL, so it only keeps summation rounding from
+# splitting a tie, and never lets a worse point count as better.
+OBJECTIVE_SLACK = 1e-12
+# A Pareto archive treats two objective vectors as one point when every
+# component lies within CLOSE_ATOL + CLOSE_RTOL·|z| of the new point z
+# (np.isclose's default band): objectives evaluated at solutions that differ
+# only by TOL-sized repair noise then do not crowd the archive.
+CLOSE_ATOL = 1e-8
+CLOSE_RTOL = 1e-5
+# Fuzzy c-means gives a point all its membership once its squared distance
+# to a centre is at most this (a distance of TOL): the membership weights
+# divide by that distance, which is 0 for a point on a centre.
+ZERO_DIST2 = 1e-18
 
 
 def _check_unit(x, name="value"):

@@ -4,7 +4,10 @@ Linear objectives are minimized exactly by the cover search of
 ``relq.solve``, cut by the best cost found; ``reduce_problem`` reports what
 can be fixed before a search (the optimizer does not use it yet).
 Nonlinear objectives run through a feasibility-preserving genetic
-algorithm whose operators are methods of one context per system.
+algorithm that breeds a whole generation as one (k, m) array: its parents
+drawn by rank with one ``searchsorted``, every crossover and mutation draw
+made for all rows at once, and one sup-t composition to find the children
+that need repair.
 Multi-objective search keeps a Pareto archive, checking each new point
 against all archived ones in one array pass; fuzzy c-means clusters it.
 """
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grades import TOL
-from .relations import MaxMin, as_grid
+from .grades import CLOSE_ATOL, CLOSE_RTOL, MIN, OBJECTIVE_SLACK, TOL, ZERO_DIST2
+from .relations import MaxMin, as_grid, sup_t_compose
 from .solve import FreProblem, attains, binding_columns, cover_search
 
 
@@ -124,12 +127,12 @@ def optimize_linear(p: LinearFreProblem):
 
     def leaf(x):
         z = float(np.dot(c, x))
-        if z < best["z"] - 1e-12:
+        if z < best["z"] - OBJECTIVE_SLACK:
             best["x"], best["z"] = x.copy(), z
 
     cover_search(cols, sorted(range(base.n), key=lambda j: len(sets[j])),
                  np.where(c < 0.0, x_hat, 0.0), leaf,
-                 prune=lambda x: np.dot(c, x) >= best["z"] - 1e-12)
+                 prune=lambda x: np.dot(c, x) >= best["z"] - OBJECTIVE_SLACK)
     return best["x"], float(np.dot(c, best["x"]))
 
 
@@ -182,71 +185,64 @@ class GaConfig:
 
 
 class _GaContext:
-    """The GA operators on one max-min system, with what they share: x_hat,
-    the binding sets I_j of the reduced system and their attaining values."""
+    """The GA operators on one max-min system.  Each takes a (k, m)
+    population array, makes its random draws for all rows at once and
+    returns rows that solve the system.  They share x_hat and the binding
+    sets I_j of the equivalence-reduced system (row i in I_j attains
+    constraint j at x_i = b_j)."""
 
     def __init__(self, p: FreProblem):
         if not isinstance(p.composition, MaxMin):
             raise ValueError("genetic operators are defined for max-min systems only")
-        self.problem = p
-        self.reduced = FreProblem(equivalence_reduce(p.A, p.b), p.b, MaxMin())
-        # the reduction keeps the greatest solution
-        self.x_hat, self.sets, cols = binding_columns(self.reduced)
-        self.vals = {(i, j): v for j, col in enumerate(cols) for i, v in col}
+        self.A, self.b = p.A, p.b
+        reduced = FreProblem(equivalence_reduce(p.A, p.b), p.b, MaxMin())
+        # the reduction keeps the greatest solution; binding[j, i]: i in I_j
+        self.x_hat = binding_columns(reduced)[0]
+        self.binding = attains(reduced, self.x_hat).T
         # per row, the largest b_j the reduced row can reach (0 when none)
-        reach = self.reduced.A >= p.b - TOL
-        lb = np.where(reach.any(axis=1), np.where(reach, p.b, -np.inf).max(axis=1), 0.0)
-        self.lb_max = np.minimum(lb, self.x_hat)
+        self.lb_max = np.minimum(np.where(reduced.A >= p.b - TOL, p.b, 0.0).max(axis=1),
+                                 self.x_hat)
         # the rows a mutation may lower: those sharing a binding set
-        self.decrease = sorted({i for s in self.sets if len(s) > 1 for i in s})
+        self.decrease = np.flatnonzero(self.binding[self.binding.sum(axis=1) > 1].any(axis=0))
 
-    def _raise_unattained(self, x, pick):
-        """Walk the constraints in order; for each one no row attains under
-        the current x, raise the row pick(j) to its attaining value (in place)."""
-        p = self.problem
-        missed = ~attains(p, x).any(axis=0)
-        for j in range(p.n):
-            if missed[j]:
-                i = pick(j)
-                x[i] = max(x[i], self.vals[(i, j)])
-                missed = ~attains(p, x).any(axis=0)
-        return x
+    def feasible(self, X, rng, avoid=None):
+        """X with each row that does not solve the system (one composition
+        checks them all) clamped into [0, x_hat] and repaired, in place:
+        walking row r's constraints in order, each one no row attains gets a
+        random row of I_j raised to b_j, not avoid[r] when I_j has another."""
+        todo = np.flatnonzero(~(np.abs(sup_t_compose(MIN, X, self.A) - self.b)
+                                <= TOL).all(axis=1))
+        X[todo] = np.clip(X[todo], 0.0, self.x_hat)
+        avoid = np.full(len(X), -1) if avoid is None else avoid
+        # under x_hat a raise attains its constraint and undoes no other
+        # attainment, so each round raises every row's first unattained one
+        while todo.size:
+            missed = ~(np.abs(np.minimum(X[todo, :, None], self.A) - self.b)
+                       <= TOL).any(axis=1)
+            todo, j = todo[missed.any(axis=1)], missed[missed.any(axis=1)].argmax(axis=1)
+            pool = self.binding[j]
+            pool &= (np.arange(len(self.x_hat)) != avoid[todo, None]) | (
+                pool.sum(axis=1, keepdims=True) < 2)
+            i = np.where(pool, rng.random(pool.shape), -1.0).argmax(axis=1)
+            X[todo, i] = np.maximum(X[todo, i], self.b[j])
+        return X
 
-    def repair(self, x, rng):
-        """Project a vector into the solution set: clamp into [0, x_hat] and
-        raise a binding row for every unattained constraint."""
-        sets = self.sets
-        return self._raise_unattained(np.clip(x, 0.0, self.x_hat),
-                                      lambda j: sets[j][int(rng.integers(len(sets[j])))])
+    def mutate(self, X, rng):
+        """Feasible mutation of each row: scale one coordinate that other rows
+        can cover by a random factor, then repair, sparing that coordinate."""
+        X, k = np.array(X, float), None
+        if self.decrease.size:
+            k = self.decrease[rng.integers(self.decrease.size, size=len(X))]
+            X[np.arange(len(X)), k] *= rng.random(len(X))
+        return self.feasible(X, rng, k)
 
-    def feasible(self, x, rng):
-        """x when it solves the system, its repair otherwise."""
-        return x if self.problem.is_solution(x) else self.repair(x, rng)
-
-    def mutate(self, x, rng):
-        """Feasible mutation: drop one coordinate that other rows can cover,
-        then repair any broken constraint by raising a covering row."""
-        x = np.asarray(x, float).copy()
-        if not self.decrease:
-            return x
-        k = self.decrease[int(rng.integers(len(self.decrease)))]
-        x[k] = x[k] * rng.random()
-
-        # repair broken constraints, preferring rows other than the decreased one
-        def pick(j):
-            pool = [i for i in self.sets[j] if i != k] or self.sets[j]
-            return pool[int(rng.integers(len(pool)))]
-        return self.feasible(self._raise_unattained(x, pick), rng)
-
-    def crossover(self, x1, x2, superpoint, rng):
-        """Contraction of x1 toward the superpoint, extraction of x2 away from
-        its partner; both children repaired to feasibility."""
-        x1, x2, superpoint = (np.asarray(v, float) for v in (x1, x2, superpoint))
-        lam = rng.random()
-        child1 = lam * x1 + (1.0 - lam) * superpoint
-        gamma = 1.0 + rng.random()
-        child2 = np.clip(gamma * x2 - (gamma - 1.0) * x1, 0.0, 1.0)
-        return self.feasible(child1, rng), self.feasible(child2, rng)
+    def crossover(self, X1, X2, superpoint, rng):
+        """Contraction of each X1 row toward the superpoint and extraction of
+        each X2 row away from its partner; first children, then second ones."""
+        lam, gamma = rng.random((len(X1), 1)), 1.0 + rng.random((len(X1), 1))
+        return self.feasible(np.concatenate([
+            lam * X1 + (1.0 - lam) * superpoint,
+            np.clip(gamma * X2 - (gamma - 1.0) * X1, 0.0, 1.0)]), rng)
 
 
 def _start(p: FreProblem, cfg: GaConfig):
@@ -255,94 +251,100 @@ def _start(p: FreProblem, cfg: GaConfig):
     is feasible), repaired as a safety net."""
     ctx = _GaContext(p)
     rng = np.random.default_rng(cfg.rng_seed)
-    pop = [ctx.feasible(ctx.lb_max + rng.random(p.m) * (ctx.x_hat - ctx.lb_max), rng)
-           for _ in range(cfg.population_size)]
-    return ctx, rng, pop
+    box = ctx.lb_max + rng.random((cfg.population_size, p.m)) * (ctx.x_hat - ctx.lb_max)
+    return ctx, rng, ctx.feasible(box, rng)
+
+
+def _point(p: FreProblem, x):
+    """x as a one-row population, once ``FreProblem.lhs`` has checked it."""
+    p.lhs(x)
+    return np.asarray(x, float).reshape(1, -1)
 
 
 def ga_initialize(p: FreProblem, cfg: GaConfig):
     """Initial GA population: feasible points in the box [LB_max, x_hat]."""
-    return _start(p, cfg)[2]
+    return list(_start(p, cfg)[2])
 
 
 def ga_mutate(x, p: FreProblem, rng):
     """One feasible mutation of x (see ``_GaContext.mutate``)."""
-    return _GaContext(p).mutate(x, rng)
+    return _GaContext(p).mutate(_point(p, x), rng)[0]
 
 
 def ga_crossover(x1, x2, superpoint, rng, p: FreProblem):
     """Two feasible children of x1 and x2 (see ``_GaContext.crossover``)."""
-    return _GaContext(p).crossover(x1, x2, superpoint, rng)
+    return tuple(_GaContext(p).crossover(*(_point(p, v) for v in (x1, x2, superpoint)), rng))
 
 
 def _rank_probabilities(n, q):
-    qp = q / (1.0 - (1.0 - q) ** n)
-    probs = np.array([qp * (1.0 - q) ** r for r in range(n)])
-    return probs / probs.sum()
+    """Geometric rank selection: rank r (0 = best) has weight (1 - q)^r."""
+    w = (1.0 - q) ** np.arange(n)
+    return w / w.sum()
 
 
-def _breed(pop, order, nxt, ctx: _GaContext, cfg: GaConfig, rng):
-    """Fill nxt up to the population size with the children of parents
-    drawn by rank (order lists pop best first): crossover, then mutation,
-    each with its configured probability."""
-    n = cfg.population_size
-    probs = _rank_probabilities(n, cfg.selection_q)
-    while len(nxt) < n:
-        a = pop[order[int(rng.choice(n, p=probs))]]
-        b = pop[order[int(rng.choice(n, p=probs))]]
-        if rng.random() < cfg.crossover_prob:
-            c1, c2 = ctx.crossover(a, b, ctx.x_hat, rng)
-        else:
-            c1, c2 = a.copy(), b.copy()
-        for child in (c1, c2):
-            if rng.random() < cfg.mutation_prob:
-                child = ctx.mutate(child, rng)
-            nxt.append(child)
-    return nxt[:n]
+def _parent_ranks(n, q, size, rng):
+    """size ranks drawn by ``_rank_probabilities(n, q)``, placed on its CDF."""
+    return np.searchsorted(np.cumsum(_rank_probabilities(n, q))[:-1], rng.random(size),
+                           side="right")
+
+
+def _breed(X, order, count, ctx: _GaContext, cfg: GaConfig, rng):
+    """count children of parents drawn by rank (order lists X best first):
+    crossover, then mutation, each with its configured probability."""
+    pairs = (count + 1) // 2
+    kids = X[order[_parent_ranks(len(X), cfg.selection_q, 2 * pairs, rng)]]
+    cross = rng.random(pairs) < cfg.crossover_prob
+    kids[np.tile(cross, 2)] = ctx.crossover(kids[:pairs][cross], kids[pairs:][cross],
+                                            ctx.x_hat, rng)
+    mut = rng.random(2 * pairs) < cfg.mutation_prob
+    kids[mut] = ctx.mutate(kids[mut], rng)
+    return kids[:count]
 
 
 def optimize_nonlinear_ga(p: FreProblem, f, cfg: GaConfig | None = None):
     """Minimize an arbitrary objective over the solution set by GA."""
     cfg = cfg or GaConfig()
-    ctx, rng, pop = _start(p, cfg)
-    fit = [float(f(x)) for x in pop]
-    best_i = int(np.argmin(fit))
-    best_x, best_f = pop[best_i].copy(), fit[best_i]
-    for _ in range(cfg.generations):
-        pop = _breed(pop, np.argsort(fit), [best_x.copy()], ctx, cfg, rng)
-        fit = [float(f(x)) for x in pop]
-        gen_i = int(np.argmin(fit))
-        if fit[gen_i] < best_f:
-            best_f = fit[gen_i]
-            best_x = pop[gen_i].copy()
-    return best_x, best_f
+    ctx, rng, X = _start(p, cfg)
+    for gen in range(cfg.generations + 1):
+        if gen:
+            X = np.vstack([best_x, _breed(X, np.argsort(fit), len(X) - 1, ctx, cfg, rng)])
+        fit = np.array([float(f(x)) for x in X])
+        if gen == 0 or fit.min() < best_f:
+            best_x, best_f = X[np.argmin(fit)].copy(), fit.min()
+    return best_x, float(best_f)
 
 
 # ---------------------------------------------------------------------------
 # Multi-objective search
 # ---------------------------------------------------------------------------
 
-def dominates(z1, z2, tol=1e-12):
+def dominates(z1, z2, tol=OBJECTIVE_SLACK):
     """z1 dominates z2 iff z1 <= z2 component-wise and z1 != z2; either side
     may be a stack of points (last axis), giving a boolean array."""
     z1, z2 = np.asarray(z1, float), np.asarray(z2, float)
-    d = np.all(z1 <= z2 + tol, axis=-1) & np.any(z1 < z2 - tol, axis=-1)
+    d = (z1 <= z2 + tol).all(axis=-1) & (z1 < z2 - tol).any(axis=-1)
     return bool(d) if d.ndim == 0 else d
 
 
 class ParetoArchive:
+    """Mutually non-dominated (x, z) pairs in ``points``, in archiving order."""
+
     def __init__(self):
         self.points = []
+        self._zs = np.empty((0, 0))
 
     def add(self, x, z):
         """Archive (x, z) unless a point dominates or is close to z; drop the
         points z dominates.  True when archived."""
-        z = np.asarray(z, float)
-        zs = np.reshape([pz for _, pz in self.points], (-1, z.size))
-        if (dominates(zs, z) | np.isclose(zs, z).all(axis=-1)).any():
+        z = np.array(z, float)
+        zs = self._zs.reshape(-1, z.size)
+        # np.isclose(zs, z)'s band, written out (the same test for finite z)
+        close = (np.abs(zs - z) <= CLOSE_ATOL + CLOSE_RTOL * np.abs(z)).all(axis=-1)
+        if (dominates(zs, z) | close).any():
             return False
-        self.points = [pt for pt, out in zip(self.points, dominates(z, zs)) if not out]
-        self.points.append((np.asarray(x, float).copy(), z))
+        keep = ~dominates(z, zs)
+        self.points = [pt for pt, k in zip(self.points, keep) if k] + [(np.array(x, float), z)]
+        self._zs = np.vstack([zs[keep], z])
         return True
 
 
@@ -352,20 +354,13 @@ def optimize_multiobjective(p: FreProblem, fs, cfg: GaConfig | None = None):
         raise ValueError("need at least two objectives")
     cfg = cfg or GaConfig()
     archive = ParetoArchive()
-
-    def evaluate(x):
-        z = np.array([float(g(x)) for g in fs])
-        archive.add(x, z)
-        return z
-
-    ctx, rng, pop = _start(p, cfg)
-    zs = [evaluate(x) for x in pop]
-    for _ in range(cfg.generations):
-        w = rng.random(len(fs))
-        w /= w.sum()
-        scal = [float(np.dot(w, z)) for z in zs]
-        pop = _breed(pop, np.argsort(scal), [], ctx, cfg, rng)
-        zs = [evaluate(x) for x in pop]
+    ctx, rng, X = _start(p, cfg)
+    for gen in range(cfg.generations + 1):
+        if gen:
+            X = _breed(X, np.argsort(Z @ rng.random(len(fs))), len(X), ctx, cfg, rng)
+        Z = np.array([[float(g(x)) for g in fs] for x in X])
+        for x, z in zip(X, Z):
+            archive.add(x, z)
     return archive
 
 
@@ -394,25 +389,25 @@ def fuzzy_c_means(points, C, m=2.0, tol=1e-6, max_iter=300, rng_seed=0):
     U /= U.sum(axis=0, keepdims=True)
     centers = np.zeros((C, X.shape[1]))
     it = 0
+
+    def dist2(centers):
+        """Squared distance of every point to every centre, (C, P)."""
+        return ((X[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
+
     for it in range(1, max_iter + 1):
         Um = U ** m
         centers_new = (Um @ X) / Um.sum(axis=1, keepdims=True)
-        d2 = np.maximum(
-            ((X[None, :, :] - centers_new[:, None, :]) ** 2).sum(axis=2), 0.0
-        )
-        U_new = np.zeros_like(U)
-        for pidx in range(P):
-            zero = np.where(d2[:, pidx] <= 1e-18)[0]
-            if zero.size:
-                U_new[zero[0], pidx] = 1.0
-            else:
-                inv = (1.0 / d2[:, pidx]) ** (1.0 / (m - 1.0))
-                U_new[:, pidx] = inv / inv.sum()
+        d2 = dist2(centers_new)
+        # a point on a centre goes wholly to the first one; otherwise its
+        # weights d^(-2/(m-1)) are summed along a contiguous row, as in 1-D
+        zero = d2 <= ZERO_DIST2
+        hit = zero.any(axis=0)
+        w = np.ascontiguousarray((1.0 / np.where(hit, 1.0, d2)).T) ** (1.0 / (m - 1.0))
+        U_new = np.where(hit, np.arange(C)[:, None] == zero.argmax(axis=0),
+                         (w / w.sum(axis=1, keepdims=True)).T)
         moved = float(np.max(np.abs(centers_new - centers)))
         centers, U = centers_new, U_new
         if moved < tol:
             break
-    objective = float(((U ** m) * np.maximum(
-        ((X[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2), 0.0
-    )).sum())
+    objective = float(((U ** m) * dist2(centers)).sum())
     return FcmResult(centers, U, objective, it)

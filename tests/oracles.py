@@ -398,3 +398,37 @@ def sre_solvability_loops(premises, mode):
             if not support_vals <= {round(float(a[s]), 12) for s in exclusive}:
                 return False
     return True
+
+
+def fuzzy_c_means_loops(points, C, m=2.0, tol=1e-6, max_iter=300, rng_seed=0):
+    """fuzzy_c_means with the membership update one point at a time: a point
+    within distance 1e-9 of a centre belongs wholly to the first such centre."""
+    X = np.asarray(points, float)
+    P = X.shape[0]
+    rng = np.random.default_rng(rng_seed)
+    U = rng.random((C, P))
+    U /= U.sum(axis=0, keepdims=True)
+    centers = np.zeros((C, X.shape[1]))
+    it = 0
+    for it in range(1, max_iter + 1):
+        Um = U ** m
+        centers_new = (Um @ X) / Um.sum(axis=1, keepdims=True)
+        d2 = np.maximum(
+            ((X[None, :, :] - centers_new[:, None, :]) ** 2).sum(axis=2), 0.0
+        )
+        U_new = np.zeros_like(U)
+        for pidx in range(P):
+            zero = np.where(d2[:, pidx] <= 1e-18)[0]
+            if zero.size:
+                U_new[zero[0], pidx] = 1.0
+            else:
+                inv = (1.0 / d2[:, pidx]) ** (1.0 / (m - 1.0))
+                U_new[:, pidx] = inv / inv.sum()
+        moved = float(np.max(np.abs(centers_new - centers)))
+        centers, U = centers_new, U_new
+        if moved < tol:
+            break
+    objective = float(((U ** m) * np.maximum(
+        ((X[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2), 0.0
+    )).sum())
+    return centers, U, objective, it

@@ -1,6 +1,6 @@
-"""The minimal-solution filter, the Pareto archive, solution-set membership
-and the premise, pattern and irreflexivity checks against their
-one-member-at-a-time loops, bit for bit.
+"""The minimal-solution filter, the Pareto archive, solution-set membership,
+the premise, pattern and irreflexivity checks and the fuzzy c-means
+membership update against their one-member-at-a-time loops, bit for bit.
 
 Points sit on a 0.25 grid and are nudged around each tolerance in play: the
 filter's TOL (1e-9), the dominance slack (1e-12) and the np.isclose band
@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from relq.grades import TOL
-from relq.optimize import ParetoArchive, dominates
+from relq.optimize import ParetoArchive, dominates, fuzzy_c_means
 from relq.relations import MaxMin, MaxProduct
 from relq.solve import (FreProblem, _dominance_filter, irreflexivity_condition,
                         kagei_type2_unique, solve, sre_solvability_criteria)
 
 from .oracles import (contains_loops, contradictory_pairs_loops, dominance_filter_loops,
-                      dominates_pair, irreflexivity_loops, pareto_add_loops,
-                      sre_solvability_loops)
+                      dominates_pair, fuzzy_c_means_loops, irreflexivity_loops,
+                      pareto_add_loops, sre_solvability_loops)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 SCALES = (0.0, 0.5, -0.5, 0.9, -0.9, 2.0, -2.0)
@@ -141,3 +141,38 @@ def test_premise_and_pattern_checks_match_loops(seed):
             kagei_type2_unique(pairs, 2, 2)
     else:
         kagei_type2_unique(pairs, 2, 2)
+
+
+def fcm_inputs():
+    """Seeded point sets: Gaussian clouds with C up to 11 (each point's
+    weights summed over more than 8 centres), grids of repeated points with
+    one centre per distinct point (so points land on centres), and one
+    point repeated."""
+    rng = np.random.default_rng(77)
+    for _ in range(6):
+        C = int(rng.integers(2, 12))
+        yield rng.normal(size=(int(rng.integers(C, 40)), 2)), C
+    for _ in range(6):
+        spots = rng.choice(GRID, size=(int(rng.integers(2, 5)), 2))
+        yield spots[rng.integers(len(spots), size=30)], len(np.unique(spots, axis=0))
+    yield np.full((5, 3), 0.25), 3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+@pytest.mark.parametrize("case", range(13))
+def test_fuzzy_c_means_matches_loops(case):
+    points, C = list(fcm_inputs())[case]
+    for m in (2.0, 1.5):
+        res = fuzzy_c_means(points, C, m=m, rng_seed=case)
+        centers, U, objective, it = fuzzy_c_means_loops(points, C, m=m, rng_seed=case)
+        assert same_arrays([res.centers, res.memberships, np.float64(res.objective)],
+                           [centers, U, np.float64(objective)])
+        assert res.iterations == it
+
+
+# the centres that get no membership come out NaN (0/0), in the loops too
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+def test_fuzzy_c_means_gives_a_point_on_a_centre_to_the_first_one():
+    # every centre is the one repeated point, so each point belongs wholly to centre 0
+    res = fuzzy_c_means(np.full((5, 3), 0.25), 3)
+    assert res.memberships.tolist() == [[1.0] * 5, [0.0] * 5, [0.0] * 5]
