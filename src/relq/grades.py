@@ -246,12 +246,6 @@ def tnorm_by_name(name):
         ) from None
 
 
-def tnorm_apply(t: TNorm, a, b):
-    a = _check_unit(a, "a")
-    b = _check_unit(b, "b")
-    return t(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Implications
 # ---------------------------------------------------------------------------
@@ -317,12 +311,6 @@ def implication_by_name(name, tnorm=None):
         raise ValueError(
             f"unknown implication {name!r}; choose from {sorted(_IMPLICATIONS)} or 'residuum'"
         ) from None
-
-
-def implication_apply(imp, a, b):
-    a = _check_unit(a, "a")
-    b = _check_unit(b, "b")
-    return imp(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Optimization over fuzzy relational equation solution sets.
 
 Linear objectives are minimized exactly by the cover search of
-``relq.solve``, cut by the best cost found; ``reduce_problem`` reports what
-can be fixed before a search (the optimizer does not use it yet).
+``relq.solve`` (constraints with one binding row forced first), started
+with the negative-cost rows at the greatest solution and cut by the best
+cost found.
 Nonlinear objectives run through a feasibility-preserving genetic
 algorithm that breeds a whole generation as one (k, m) array: its parents
 drawn by rank with one ``searchsorted``, every crossover and mutation draw
@@ -48,81 +49,16 @@ def split_costs(c):
     return np.maximum(c, 0.0), np.minimum(c, 0.0)
 
 
-@dataclass
-class ReductionState:
-    fixed: dict
-    removed_constraints: list
-    forced_constraints: list
-    subproblems: list
-    x_hat: np.ndarray
-    index_sets: list
-
-
-def reduce_problem(p: LinearFreProblem) -> ReductionState:
-    """Fix what can be fixed before searching.
-
-    Non-positive-cost rows take their maximum-solution value; constraints
-    they already attain drop out.  Constraints with a single binding row
-    force that row.  Surviving constraints split into independent
-    subproblems by binding-set overlap.
-    """
-    base, c = p.base, p.c
-    x_hat, sets, cols = binding_columns(base)
-    fixed = {}
-    removed = []
-    for i in range(base.m):
-        if c[i] <= 0.0:
-            fixed[i] = x_hat[i]
-    for j in range(base.n):
-        if any(i in fixed for i in sets[j]):
-            removed.append(j)
-    pending = [j for j in range(base.n) if j not in removed]
-    forced = []
-    changed = True
-    while changed:
-        changed = False
-        for j in list(pending):
-            live = [(i, v) for i, v in cols[j] if i not in fixed]
-            if any(i in fixed and fixed[i] >= v - TOL for i, v in cols[j]):
-                pending.remove(j)
-                removed.append(j)
-                changed = True
-            elif len(live) == 1:
-                i, v = live[0]
-                fixed[i] = max(fixed.get(i, 0.0), v)
-                pending.remove(j)
-                forced.append(j)
-                changed = True
-    # connected components of the surviving constraints by shared rows
-    subproblems = []
-    todo = list(pending)
-    while todo:
-        comp = [todo.pop()]
-        rows = set(i for i in sets[comp[0]] if i not in fixed)
-        grew = True
-        while grew:
-            grew = False
-            for j in list(todo):
-                jr = set(i for i in sets[j] if i not in fixed)
-                if jr & rows:
-                    comp.append(j)
-                    todo.remove(j)
-                    rows |= jr
-                    grew = True
-        subproblems.append((sorted(comp), sorted(rows)))
-    return ReductionState(fixed, sorted(removed), forced, subproblems, x_hat, sets)
-
-
 def optimize_linear(p: LinearFreProblem):
     """Exact minimum of c·x over the solution set.
 
     Negative-cost rows sit at the maximum solution; the remaining choice of
-    one binding row per constraint is a cover search, fewest binding rows
-    first, cut where the cost so far reaches the best found (valid because
-    raising a non-negative-cost row never lowers the cost).
+    one binding row per constraint is the cover search, cut where the cost
+    so far reaches the best found (valid because raising a non-negative-cost
+    row never lowers the cost).
     """
     base, c = p.base, p.c
-    x_hat, sets, cols = binding_columns(base)
+    x_hat, _, cols = binding_columns(base)
     best = {"x": None, "z": np.inf}
 
     def leaf(x):
@@ -130,8 +66,7 @@ def optimize_linear(p: LinearFreProblem):
         if z < best["z"] - OBJECTIVE_SLACK:
             best["x"], best["z"] = x.copy(), z
 
-    cover_search(cols, sorted(range(base.n), key=lambda j: len(sets[j])),
-                 np.where(c < 0.0, x_hat, 0.0), leaf,
+    cover_search(cols, np.where(c < 0.0, x_hat, 0.0), leaf,
                  prune=lambda x: np.dot(c, x) >= best["z"] - OBJECTIVE_SLACK)
     return best["x"], float(np.dot(c, best["x"]))
 
@@ -396,7 +331,9 @@ def fuzzy_c_means(points, C, m=2.0, tol=1e-6, max_iter=300, rng_seed=0):
 
     for it in range(1, max_iter + 1):
         Um = U ** m
-        centers_new = (Um @ X) / Um.sum(axis=1, keepdims=True)
+        # a centre with no membership keeps its place
+        centers_new = np.divide(Um @ X, Um.sum(axis=1, keepdims=True), out=centers.copy(),
+                                where=Um.any(axis=1, keepdims=True))
         d2 = dist2(centers_new)
         # a point on a centre goes wholly to the first one; otherwise its
         # weights d^(-2/(m-1)) are summed along a contiguous row, as in 1-D

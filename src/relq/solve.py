@@ -5,16 +5,19 @@ three methods, fast solvability/uniqueness certificates, attainability
 classification, constrained greatest solutions, defuzzified rule extraction,
 and the specificity-shift estimator.
 
-The three enumeration methods share one search over the binding columns
-(``cover_search`` for lambda and pattern, a level-by-level build-up for
-archimedean) and differ only in the constraint order and in what the cap
-counts: lambda ∏|I_j|, pattern the leaves, archimedean the candidate set
-of each level.  The dominance filter of the leaves and ``SolutionSet.contains``
-test a point against the whole stacked set in one array expression.
+The three enumeration methods run one search: ``cover_search`` from zeros
+over the binding columns, which visits the constraints fewest binding rows
+first (so a constraint with one binding row forces its row before any
+branching), then the dominance filter of its leaves.  They return the same
+arrays in the same order and differ only in what the cap counts: lambda
+the product ∏|I_j| before searching, pattern and archimedean the leaves.
+The dominance filter and ``SolutionSet.contains`` test a point against the
+whole stacked set in one array expression.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -161,25 +164,29 @@ def binding_columns(p: FreProblem):
     return x_hat, sets, cols
 
 
-def cover_search(cols, order, x, leaf, prune=None):
+def cover_search(cols, x, leaf, prune=None):
     """Depth-first choice of one binding row per constraint, starting from x.
 
-    Constraints are visited in ``order``; one that some row already covers
-    (x_i >= v - TOL for a pair (i, v) of its column) is skipped, otherwise
-    the search branches on raising each binding row to its attaining value.
-    ``leaf(x)`` sees every complete assignment (x is reused: copy what you
-    keep) and a branch stops where ``prune(x)`` is true.
+    Constraints are visited fewest binding rows first (a stable sort, so a
+    constraint with one binding row forces its row before any branching).
+    One that some row already covers (x_i >= v - TOL for a pair (i, v) of
+    its column) is skipped, otherwise the search branches on raising each
+    binding row to its attaining value.  ``leaf(x)`` sees every complete
+    assignment (x is reused: copy what you keep) and a branch stops where
+    ``prune(x)`` is true.
     """
+    cols = sorted(cols, key=len)
+
     def walk(pos):
         if prune is not None and prune(x):
             return
-        while pos < len(order) and any(x[i] >= v - TOL for i, v in cols[order[pos]]):
+        while pos < len(cols) and any(x[i] >= v - TOL for i, v in cols[pos]):
             pos += 1
-        if pos == len(order):
+        if pos == len(cols):
             leaf(x)
             return
         # the column is uncovered, so each of its rows sits below v
-        for i, v in cols[order[pos]]:
+        for i, v in cols[pos]:
             old = x[i]
             x[i] = v
             walk(pos + 1)
@@ -207,57 +214,44 @@ def _dominance_filter(cands, tol=TOL):
 # Minimal solutions (see the module docstring)
 # ---------------------------------------------------------------------------
 
-def minimal_solutions_lambda(p: FreProblem, cap=None) -> SolutionSet:
-    """Binding-row combinations f ∈ I_1×…×I_n, searched in column order and
-    filtered; refused up front when ∏|I_j| exceeds the cap."""
+def _cover_minimals(p: FreProblem, cap, message, lambda_bound=False) -> SolutionSet:
+    """cover_search from zeros, then the dominance filter.  The cap counts
+    the leaves; with ``lambda_bound`` the product ∏|I_j|, which bounds the
+    leaves, is refused before the search.  ``message`` formats the
+    CapExceeded text with the cap."""
     cap = combinatorial_cap() if cap is None else cap
     x_hat, sets, cols = binding_columns(p)
-    size = 1
-    for s in sets:
-        size *= max(len(s), 1)
-        if size > cap:
-            raise CapExceeded(f"binding combinations exceed cap {cap}")
-    leaves = []
-    cover_search(cols, range(p.n), np.zeros(p.m), lambda x: leaves.append(x.copy()))
-    return SolutionSet(True, x_hat, _dominance_filter(leaves), sets)
-
-
-def minimal_solutions_matrix_pattern(p: FreProblem, cap=None) -> SolutionSet:
-    """Cover search over the constraints in decreasing right-hand-side order;
-    the cap counts the leaves."""
-    cap = combinatorial_cap() if cap is None else cap
-    x_hat, sets, cols = binding_columns(p)
+    if lambda_bound and math.prod(max(len(s), 1) for s in sets) > cap:
+        raise CapExceeded(message.format(cap))
     leaves = []
 
     def leaf(x):
         leaves.append(x.copy())
         if len(leaves) > cap:
-            raise CapExceeded(f"matrix-pattern branches exceed cap {cap}")
+            raise CapExceeded(message.format(cap))
 
-    cover_search(cols, sorted(range(p.n), key=lambda j: -p.b[j]), np.zeros(p.m), leaf)
+    cover_search(cols, np.zeros(p.m), leaf)
     return SolutionSet(True, x_hat, _dominance_filter(leaves), sets)
 
 
+def minimal_solutions_lambda(p: FreProblem, cap=None) -> SolutionSet:
+    """Binding-row combinations f ∈ I_1×…×I_n, searched and filtered;
+    refused up front when ∏|I_j| (the λ-bound) exceeds the cap."""
+    return _cover_minimals(p, cap, "binding combinations exceed cap {}", lambda_bound=True)
+
+
+def minimal_solutions_matrix_pattern(p: FreProblem, cap=None) -> SolutionSet:
+    """The cover search with the cap on its leaves."""
+    return _cover_minimals(p, cap, "matrix-pattern branches exceed cap {}")
+
+
 def minimal_solutions_archimedean(p: FreProblem, cap=None) -> SolutionSet:
-    """Pseudo-polynomial build-up: per-constraint unique scalar solutions are
-    concatenated one constraint at a time with dominance simplification."""
+    """The cover search with the cap on its leaves; defined for Archimedean
+    t-norms only."""
     t = p.tnorm()
     if not t.archimedean:
         raise ValueError(f"requires an Archimedean t-norm, got {t.name}")
-    cap = combinatorial_cap() if cap is None else cap
-    x_hat, sets, cols = binding_columns(p)
-    partial = [np.zeros(p.m)]
-    for col in cols:
-        nxt = []
-        for base in partial:
-            for i, v in col:
-                x = base.copy()
-                x[i] = max(x[i], v)
-                nxt.append(x)
-        partial = _dominance_filter(nxt)
-        if len(partial) > cap:
-            raise CapExceeded(f"candidate set exceeds cap {cap}")
-    return SolutionSet(True, x_hat, _dominance_filter(partial), sets)
+    return _cover_minimals(p, cap, "candidate set exceeds cap {}")
 
 
 _METHODS = {

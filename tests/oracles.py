@@ -80,6 +80,25 @@ def product_minimals(p: FreProblem, cap=10 ** 4):
     return out
 
 
+def archimedean_buildup(p: FreProblem):
+    """Minimal solutions built up one constraint at a time: each partial
+    point is raised by every binding row of the next constraint, and the
+    level is cut back to its minimal elements before the next one."""
+    x_hat = max_solution(p)
+    if x_hat is None:
+        raise InfeasibleError("infeasible")
+    partial = [np.zeros(p.m)]
+    for j, s in enumerate(binding_sets(p, x_hat)):
+        level = []
+        for base in partial:
+            for i in s:
+                x = base.copy()
+                x[i] = max(x[i], attain_value(p, i, j))
+                level.append(x)
+        partial = dominance_filter_loops(level)
+    return partial
+
+
 def brute_force_linear(p, cap=10 ** 4):
     """Optimum of a LinearFreProblem: enumerate every binding combination
     (x_hat on the negative-cost rows) and take the best."""
@@ -412,7 +431,8 @@ def fuzzy_c_means_loops(points, C, m=2.0, tol=1e-6, max_iter=300, rng_seed=0):
     it = 0
     for it in range(1, max_iter + 1):
         Um = U ** m
-        centers_new = (Um @ X) / Um.sum(axis=1, keepdims=True)
+        centers_new = np.divide(Um @ X, Um.sum(axis=1, keepdims=True), out=centers.copy(),
+                                where=Um.any(axis=1, keepdims=True))
         d2 = np.maximum(
             ((X[None, :, :] - centers_new[:, None, :]) ** 2).sum(axis=2), 0.0
         )

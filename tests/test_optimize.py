@@ -5,9 +5,8 @@ from relq.optimize import (GaConfig, LinearFreProblem, ParetoArchive,
                            dominates, equivalence_reduce,
                            fuzzy_c_means, ga_crossover, ga_initialize,
                            ga_mutate, optimize_linear, optimize_multiobjective,
-                           optimize_nonlinear_ga, pseudo_char_matrix,
-                           reduce_problem, split_costs)
-from relq.solve import FreProblem, InfeasibleError, max_solution, solve
+                           optimize_nonlinear_ga, pseudo_char_matrix, split_costs)
+from relq.solve import FreProblem, max_solution, solve
 
 from .oracles import brute_force_linear
 
@@ -69,24 +68,6 @@ def test_optimum_beats_all_grid_solutions():
             x = np.array(combo)
             if base.is_solution(x):
                 assert z <= np.dot(c, x) + 1e-9
-
-
-def test_reduce_problem_cases():
-    base = FreProblem([[0.5, 0.3], [0.7, 0.3]], [0.5, 0.3])
-    st = reduce_problem(LinearFreProblem(base, [-1.0, 1.0]))
-    assert st.fixed.get(0) == pytest.approx(1.0)   # negative cost row at x_hat
-    assert 0 in st.removed_constraints             # constraint 1 now satisfied
-    # singleton forcing: single binding row must be raised
-    base2 = FreProblem([[0.9, 0.0], [0.0, 0.9]], [0.4, 0.6])
-    st2 = reduce_problem(LinearFreProblem(base2, [1.0, 1.0]))
-    assert st2.fixed[0] == pytest.approx(0.4)
-    assert st2.fixed[1] == pytest.approx(0.6)
-    assert not st2.subproblems
-
-
-def test_reduce_infeasible():
-    with pytest.raises(InfeasibleError):
-        reduce_problem(LinearFreProblem(FreProblem([[0.1]], [0.9]), [1.0]))
 
 
 def test_pseudo_char_matrix():

@@ -158,7 +158,6 @@ def fcm_inputs():
     yield np.full((5, 3), 0.25), 3
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
 @pytest.mark.parametrize("case", range(13))
 def test_fuzzy_c_means_matches_loops(case):
     points, C = list(fcm_inputs())[case]
@@ -170,9 +169,11 @@ def test_fuzzy_c_means_matches_loops(case):
         assert res.iterations == it
 
 
-# the centres that get no membership come out NaN (0/0), in the loops too
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
 def test_fuzzy_c_means_gives_a_point_on_a_centre_to_the_first_one():
     # every centre is the one repeated point, so each point belongs wholly to centre 0
     res = fuzzy_c_means(np.full((5, 3), 0.25), 3)
     assert res.memberships.tolist() == [[1.0] * 5, [0.0] * 5, [0.0] * 5]
+    # the centres without membership stay where they were, so the run stops
+    assert np.all(np.isfinite(res.centers))
+    assert res.objective == 0.0
+    assert res.iterations == 2

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relq.grades import MIN, PRODUCT, godel
-from relq.relations import MaxMin, MaxProduct, Relation
+from relq.grades import LUKASIEWICZ, MIN, PRODUCT, godel
+from relq.relations import MaxMin, MaxProduct, Relation, SupT
 from relq.solve import (CapExceeded, FreProblem, InfeasibleError,
                         binding_columns, binding_sets, classify_attainability,
                         combinatorial_cap, constrained_greatest, cover_search,
@@ -15,7 +17,8 @@ from relq.solve import (CapExceeded, FreProblem, InfeasibleError,
                         minimal_solutions_matrix_pattern, solve,
                         specificity_shift_fit, sre_solvability_criteria)
 
-from .oracles import grid_in_union, grid_solutions, minimal_set_key, product_minimals
+from .oracles import (archimedean_buildup, grid_in_union, grid_solutions, minimal_set_key,
+                      product_minimals)
 
 GRID5 = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -141,7 +144,7 @@ def test_cap_exceeded():
 @pytest.mark.parametrize("method", METHODS, ids=["lambda", "pattern", "archimedean"])
 def test_cap_at_the_count(method):
     # rows 2j and 2j+1 bind column j: 2^8 minimal solutions, and each method's
-    # count (combinations, leaves, last-level candidates) is exactly 256
+    # count (combinations or leaves) is exactly 256
     A = np.zeros((16, 8))
     A[np.arange(16), np.arange(16) // 2] = 1.0
     p = FreProblem(A, np.full(8, 0.5), MaxProduct())
@@ -161,10 +164,10 @@ def test_cover_search_skips_covered_columns_and_prunes():
     assert sets == [list(range(7))] * 7
     assert cols == [[(i, 1.0) for i in range(7)]] * 7
     leaves = []
-    cover_search(cols, range(7), np.zeros(7), lambda x: leaves.append(x.copy()))
+    cover_search(cols, np.zeros(7), lambda x: leaves.append(x.copy()))
     assert minimal_set_key(leaves) == minimal_set_key(np.eye(7))
     leaves = []
-    cover_search(cols, range(7), np.zeros(7), lambda x: leaves.append(x.copy()),
+    cover_search(cols, np.zeros(7), lambda x: leaves.append(x.copy()),
                  prune=lambda x: x[0] > 0)
     assert minimal_set_key(leaves) == minimal_set_key(np.eye(7)[1:])
 
@@ -182,6 +185,38 @@ def test_archimedean_requires_archimedean():
     p = FreProblem([[0.5]], [0.5])
     with pytest.raises(ValueError):
         minimal_solutions_archimedean(p)
+
+
+def grid_system(rng, m, n, steps, comp):
+    """A feasible system: A, then x, drawn as integers over steps, b = x∘A."""
+    A = rng.integers(0, steps + 1, (m, n)) / steps
+    x = rng.integers(0, steps + 1, m) / steps
+    return FreProblem(A, FreProblem(A, np.zeros(n), comp).lhs(x), comp)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_methods_agree_bit_for_bit(seed):
+    p = grid_system(np.random.default_rng(seed), 16, 16, 100, MaxProduct())
+    first, *rest = [method(p).minimals for method in METHODS]
+    for other in rest:
+        assert len(other) == len(first)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, other))
+
+
+def test_pattern_forces_singletons_before_branching():
+    # 40×40 max-min on a 0.1 grid: visiting constraints by decreasing b took
+    # 36 054 leaves; forcing the one-row constraints first needs under 1000
+    p = grid_system(np.random.default_rng(0), 40, 40, 10, MaxMin())
+    assert len(minimal_solutions_matrix_pattern(p, cap=1000).minimals) == 284
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([PRODUCT, LUKASIEWICZ]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_archimedean_matches_buildup(m, n, t, seed):
+    p = grid_system(np.random.default_rng(seed), m, n, 4, SupT(t))
+    assert (minimal_set_key(minimal_solutions_archimedean(p).minimals)
+            == minimal_set_key(archimedean_buildup(p)))
 
 
 def test_gavalec_certificate_examples():
