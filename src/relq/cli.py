@@ -38,15 +38,21 @@ def _fmt(x, nround=None):
     return f"{float(x):.9g}"
 
 
+def _json(val, nround=None):
+    """val ready for json.dumps: arrays as nested lists, floats rounded as
+    the tables round them."""
+    if isinstance(val, np.ndarray):
+        return [_json(v, nround) for v in val]
+    if isinstance(val, float):
+        return float(_fmt(val, nround)) if nround is not None else float(val)
+    return val
+
+
 def _emit_matrix(grid, args):
     grid = np.atleast_2d(np.asarray(grid, float))
     nround = getattr(args, "round", None)
     if args.format == "json":
-        if nround is not None:
-            cells = [[float(_fmt(v, nround)) for v in row] for row in grid]
-        else:
-            cells = [[float(v) for v in row] for row in grid]
-        print(json.dumps({"cells": cells}))
+        print(json.dumps({"cells": _json(grid, nround)}))
     elif args.format == "csv":
         for row in grid:
             print(",".join(_fmt(v, nround) for v in row))
@@ -196,8 +202,7 @@ def cmd_optimize(args):
 
 def cmd_learn(args):
     data = json.loads(_read_text(args.training))
-    ts = TrainingSet(np.asarray(data["inputs"], float),
-                     np.asarray(data["targets"], float))
+    ts = TrainingSet(data["inputs"], data["targets"])
     t = tnorm_by_name(args.tnorm)
     cfg = TrainerConfig(eta=args.eta, epsilon=args.tol, tnorm=t)
     if args.rule == "basic":
@@ -267,17 +272,45 @@ def _demo_pallavan(args):
     return 0
 
 
-def _demo_hiv_triangle(args):
-    U = triangle_product_subjects(datasets.HIV_MARKS, godel)
-    V = triangle_product_criteria(datasets.HIV_MARKS, godel)
-    print("U (subject implies subject):")
-    _emit_matrix(U.cells, args)
-    print("V (criterion implies criterion):")
-    _emit_matrix(V.cells, args)
-    for alpha in args.alpha:
-        print(f"alpha-cut of U at {alpha}:")
-        _emit_matrix(alpha_cut(U, alpha).cells, args)
-    return 0
+def _demo_doc(name, args):
+    """The result of demo ``name`` (not pallavan) as one dict for _emit_demo."""
+    if name == "chemical-flow":
+        res = datasets.demo_chemical_flow()
+        return {"trained weights": res["weights"], "outputs": res["outputs"],
+                "converged": res["converged"]}
+    if name.startswith("bonded-labor-") and name[-1].isdigit():
+        expert = int(name[-1])
+        return {d: datasets.demo_bonded_labor(expert, d) for d in ("forward", "inverse")}
+    if name == "hiv-checklist":
+        return {"cells": checklist_product(datasets.HIV_CHECKLIST_MARKS, kleene_dienes).cells}
+    if name == "hiv-triangle":
+        U = triangle_product_subjects(datasets.HIV_MARKS, godel)
+        V = triangle_product_criteria(datasets.HIV_MARKS, godel)
+        return {"U (subject implies subject)": U.cells, "V (criterion implies criterion)": V.cells,
+                **{f"alpha-cut of U at {a}": alpha_cut(U, a).cells for a in args.alpha}}
+    if name.endswith("-nre"):
+        out = (datasets.demo_bonded_labor_nre() if name == "bonded-labor-nre"
+               else datasets.demo_medical_nre())
+        return {"grades": [neutro_format(g) for g in out]}
+    return {"cells": datasets.COMPAT_GRAPH.cells}  # compat-graph
+
+
+def _emit_demo(doc, args):
+    """One JSON object, or per entry a table: a 2-d array under a "key:"
+    line, anything else after "key: "; a one-entry dict prints its value
+    alone."""
+    if args.format == "json":
+        print(json.dumps({key: _json(val, args.round) for key, val in doc.items()}))
+        return
+    for key, val in doc.items():
+        if isinstance(val, np.ndarray) and val.ndim == 2:
+            if len(doc) > 1:
+                print(f"{key}:")
+            _emit_matrix(val, args)
+            continue
+        if isinstance(val, (list, np.ndarray)):
+            val = " ".join(v if isinstance(v, str) else _fmt(v, args.round) for v in val)
+        print(f"{key}: {val}" if len(doc) > 1 else val)
 
 
 def cmd_demo(args):
@@ -288,38 +321,8 @@ def cmd_demo(args):
         return 1
     if name == "pallavan":
         return _demo_pallavan(args)
-    if name == "chemical-flow":
-        res = datasets.demo_chemical_flow()
-        print("trained weights:")
-        _emit_matrix(res["weights"], args)
-        print("outputs:", " ".join(_fmt(v, args.round) for v in res["outputs"]))
-        print("converged:", res["converged"])
-        return 0
-    if name.startswith("bonded-labor-") and name[-1].isdigit():
-        expert = int(name[-1])
-        fwd = datasets.demo_bonded_labor(expert, "forward")
-        inv = datasets.demo_bonded_labor(expert, "inverse")
-        print("forward:", " ".join(_fmt(v, args.round) for v in fwd))
-        print("inverse:", " ".join(_fmt(v, args.round) for v in inv))
-        return 0
-    if name == "hiv-checklist":
-        W = checklist_product(datasets.HIV_CHECKLIST_MARKS, kleene_dienes)
-        _emit_matrix(W.cells, args)
-        return 0
-    if name == "hiv-triangle":
-        return _demo_hiv_triangle(args)
-    if name == "bonded-labor-nre":
-        out = datasets.demo_bonded_labor_nre()
-        print(" ".join(neutro_format(g) for g in out))
-        return 0
-    if name == "medical-nre":
-        out = datasets.demo_medical_nre()
-        print(" ".join(neutro_format(g) for g in out))
-        return 0
-    if name == "compat-graph":
-        _emit_matrix(datasets.COMPAT_GRAPH.cells, args)
-        return 0
-    return 1
+    _emit_demo(_demo_doc(name, args), args)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +371,7 @@ def build_parser():
                     default="K")
     sp.add_argument("--tnorm", default="min")
     sp.add_argument("--eta", type=float, default=0.1)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=float, default=TrainerConfig.epsilon)
     _add_common(sp, "round")
     sp.set_defaults(func=cmd_learn)
 

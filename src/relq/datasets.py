@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grades import PRODUCT
+from .grades import PRODUCT, STOP_TOL, TOL
 from .neutro import NeutroRelation
-from .relations import Relation
+from .relations import Relation, sup_t_compose
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def pallavan_series(partition="threes"):
     return PartitionedSeries(hours, q, r, blocks)
 
 
-def estimate_block_relations(series: PartitionedSeries, tol=1e-9):
+def estimate_block_relations(series: PartitionedSeries):
     """Per block: the greatest max-product relation reproducing the block's
     outputs, plus the peak position (argmax of r, ties to the smallest
     index).  Raises when a row's output is unattainable."""
@@ -127,22 +127,20 @@ def estimate_block_relations(series: PartitionedSeries, tol=1e-9):
     for blk in series.blocks:
         qs = series.q[list(blk)]
         rs = series.r[list(blk)]
-        P = np.empty((len(blk), len(blk)))
-        for row, ridx in enumerate(blk):
-            target = series.r[ridx]
-            if np.max(qs) < target - tol:
-                raise ValueError(f"row {ridx} target {target} unattainable from inputs")
-            P[row] = PRODUCT.residuum(qs, target)
-        # verification identity
-        for row in range(len(blk)):
-            got = float(np.max(P[row] * qs))
-            if abs(got - rs[row]) > tol:
-                raise ValueError(f"composition identity failed at block row {row}")
+        short = np.flatnonzero(np.max(qs) < rs - TOL)
+        if short.size:
+            ridx = blk[short[0]]
+            raise ValueError(f"row {ridx} target {series.r[ridx]} unattainable from inputs")
+        # row k: the residua of the inputs at rs[k], checked by composing back
+        P = PRODUCT.apply_residuum(qs[None, :], rs[:, None])
+        off = np.flatnonzero(np.abs(sup_t_compose(PRODUCT, P, qs[:, None])[:, 0] - rs) > TOL)
+        if off.size:
+            raise ValueError(f"composition identity failed at block row {off[0]}")
         peak_pos = int(np.argmax(rs))
         peak_idx = blk[peak_pos]
         out.append({
             "block": blk,
-            "P": Relation(np.clip(P, 0.0, 1.0)),
+            "P": Relation(P),
             "peak_index": peak_idx,
             "peak_label": series.labels[peak_idx],
             "peak_value": rs[peak_pos],
@@ -164,7 +162,7 @@ CHEMICAL_FLOW_MASK = np.array([
 
 
 def demo_chemical_flow(inputs=None, targets=None, eta=0.5, max_iter=10_000,
-                       tol=1e-6):
+                       tol=STOP_TOL):
     """Train the masked node weights so max_j w_ij x_j matches each target
     (clipped linear activation); masked-zero weights never change."""
     if inputs is None:
@@ -176,17 +174,13 @@ def demo_chemical_flow(inputs=None, targets=None, eta=0.5, max_iter=10_000,
     r = np.asarray(targets, float)
     W = np.where(CHEMICAL_FLOW_MASK, 1.0, 0.0)
     it = 0
-    residual = np.inf
     for it in range(1, max_iter + 1):
         y = np.clip(np.max(W * x[None, :], axis=1), 0.0, 1.0)
-        residual = float(np.max(np.abs(y - r)))
-        if residual < tol:
+        if float(np.max(np.abs(y - r))) < tol:
             break
-        for i in range(5):
-            if y[i] > r[i] + tol / 10:
-                for j in range(5):
-                    if CHEMICAL_FLOW_MASK[i, j] and W[i, j] * x[j] > r[i]:
-                        W[i, j] = max(0.0, W[i, j] - eta * (y[i] - r[i]))
+        # lower each unmasked weight of an overshooting node whose term exceeds r
+        fire = CHEMICAL_FLOW_MASK & (y > r + tol / 10)[:, None] & (W * x > r[:, None])
+        W[fire] = np.maximum(0.0, W - eta * (y - r)[:, None])[fire]
     y = np.clip(np.max(W * x[None, :], axis=1), 0.0, 1.0)
     residual = float(np.max(np.abs(y - r)))
     return {

@@ -7,6 +7,11 @@ distinguishability metric Q_t.  A t-norm's ``__call__``/``residuum`` take
 grades and ``apply``/``apply_residuum`` take arrays: exact numpy forms for
 the built-ins, the scalar method cell by cell in the base class (for
 generators with a scalar-only ``f``).  The implications take either.
+
+The tolerance policy lives here, as named constants with their reasons
+below: TOL (the grade band and grade equality; ``check_grades`` is the one
+band check), OBJECTIVE_SLACK, CLOSE_ATOL and CLOSE_RTOL, ZERO_DIST2,
+ROUNDING, REPAIR_TOL, IMAGE_TIE, FIT_SLACK, SUPPORT_DIGITS and STOP_TOL.
 """
 
 from __future__ import annotations
@@ -16,36 +21,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Grades within TOL of [0, 1] are accepted and clamped; grades within TOL of
+# each other are equal.
 TOL = 1e-9
-# Objective values (a cost c·x, a fitness, an objective vector) compare with
-# this slack: far below TOL, so it only keeps summation rounding from
-# splitting a tie, and never lets a worse point count as better.
+# Objective values (c·x, a fitness, an objective vector) compare within this:
+# far below TOL, it keeps summation rounding from splitting a tie, no more.
 OBJECTIVE_SLACK = 1e-12
-# A Pareto archive treats two objective vectors as one point when every
-# component lies within CLOSE_ATOL + CLOSE_RTOL·|z| of the new point z
-# (np.isclose's default band): objectives evaluated at solutions that differ
-# only by TOL-sized repair noise then do not crowd the archive.
+# The Pareto archive's closeness band CLOSE_ATOL + CLOSE_RTOL·|z| (np.isclose's
+# default), so TOL-sized repair noise does not crowd the archive.
 CLOSE_ATOL = 1e-8
 CLOSE_RTOL = 1e-5
-# Fuzzy c-means gives a point all its membership once its squared distance
-# to a centre is at most this (a distance of TOL): the membership weights
-# divide by that distance, which is 0 for a point on a centre.
+# Squared distance (a distance of TOL) at which c-means puts a point wholly on
+# a centre: the membership weights divide by it, 0 for a point on a centre.
 ZERO_DIST2 = 1e-18
-
-
-def _check_unit(x, name="value"):
-    if not (-TOL <= x <= 1 + TOL):
-        raise ValueError(f"{name} {x!r} outside [0, 1]")
-    return min(1.0, max(0.0, float(x)))
+# A few ulp at 1: the bisection predicates compare t(a, x) with b within it,
+# and the drastic t-norm counts a grade within it of 1 as 1.
+ROUNDING = 1e-15
+# Rule K's repair check and convergence flag: looser than TOL, because a
+# residuum by bisection or through f and f⁻¹ carries their rounding.
+REPAIR_TOL = 1e-7
+# kagei_type2_unique's image tie: images are mins of stored grades, so ties
+# are exact up to the rounding of bound - slack.
+IMAGE_TIE = 1e-12
+# specificity_shift_fit keeps its earlier (alpha, beta) on a squared-error
+# tie within this (the identity pair is scored first).
+FIT_SLACK = 1e-15
+# Decimals to which sre_solvability_criteria rounds support values.
+SUPPORT_DIGITS = 12
+# Default of the tolerances that belong to an algorithm, not to grade
+# equality: trainer epsilon, c-means and chemical-flow stops, kagei's slack.
+STOP_TOL = 1e-6
 
 
 def check_grades(values, name="grades"):
-    """Raise ValueError unless every cell is a finite grade in [0, 1] (within
-    TOL); NaN and ±inf fail the range test."""
+    """Return values clamped to [0, 1]: a Python number as a float (without
+    a numpy call), anything else as an array.  Raise ValueError unless every
+    cell lies within TOL of [0, 1]; NaN and ±inf fail the range test."""
     ok = (values >= -TOL) & (values <= 1 + TOL)
-    if not np.all(ok):
-        bad = float(np.asarray(values)[~ok].flat[0])
+    scalar = isinstance(values, (float, int))
+    if not (ok if scalar else np.all(ok)):
+        bad = float(values) if scalar else float(np.asarray(values)[~ok].flat[0])
         raise ValueError(f"{name} must be finite and lie in [0, 1], got {bad!r}")
+    return min(1.0, max(0.0, float(values))) if scalar else np.clip(values, 0.0, 1.0)
 
 
 def _bisect(low):
@@ -92,13 +109,13 @@ class TNorm:
         """sup{x : t(a, x) <= b}, by bisection unless overridden."""
         if self(a, 1.0) <= b + TOL:
             return 1.0
-        return _bisect(lambda x: self(a, x) <= b + 1e-15)[0]
+        return _bisect(lambda x: self(a, x) <= b + ROUNDING)[0]
 
     def min_section_solution(self, a, b):
         """Smallest x with t(a, x) >= b (requires a continuous section, a >= b)."""
         if b <= 0.0:
             return 0.0
-        return _bisect(lambda x: not self(a, x) >= b - 1e-15)[1]
+        return _bisect(lambda x: not self(a, x) >= b - ROUNDING)[1]
 
     def __repr__(self):
         return f"<tnorm {self.name}>"
@@ -171,18 +188,18 @@ class DrasticTNorm(TNorm):
     continuous = False
 
     def __call__(self, a, b):
-        if a >= 1.0 - 1e-15:
+        if a >= 1.0 - ROUNDING:
             return b
-        if b >= 1.0 - 1e-15:
+        if b >= 1.0 - ROUNDING:
             return a
         return 0.0
 
     def apply(self, a, b):
-        return np.where(a >= 1.0 - 1e-15, b, np.where(b >= 1.0 - 1e-15, a, 0.0))
+        return np.where(a >= 1.0 - ROUNDING, b, np.where(b >= 1.0 - ROUNDING, a, 0.0))
 
     def residuum(self, a, b):
         # For a < 1 every x < 1 satisfies t(a,x)=0 <= b, so the sup is 1.
-        return _out(np.where((a >= 1.0 - 1e-15) & (a > b + TOL), b, 1.0))
+        return _out(np.where((a >= 1.0 - ROUNDING) & (a > b + TOL), b, 1.0))
 
     apply_residuum = residuum
 
@@ -355,8 +372,8 @@ def solve_scalar_t(t: TNorm, a, b):
     """
     if not t.continuous:
         raise ValueError(f"solve_scalar_t requires a continuous t-norm, got {t.name}")
-    a = _check_unit(a, "a")
-    b = _check_unit(b, "b")
+    a = check_grades(a, "a")
+    b = check_grades(b, "b")
     if a < b - TOL:
         return NoSolution()
     if isinstance(t, MinTNorm):
@@ -376,8 +393,8 @@ def solve_scalar_t(t: TNorm, a, b):
 
 def equality_index(f, b):
     """Degree to which two grades are equal: 1 - |f - b|."""
-    f = _check_unit(f, "f")
-    b = _check_unit(b, "b")
+    f = check_grades(f, "f")
+    b = check_grades(b, "b")
     return 1.0 - abs(f - b)
 
 

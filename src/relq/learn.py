@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grades import MIN, TOL, TNorm, check_grades, godel
+from .grades import MIN, REPAIR_TOL, STOP_TOL, TOL, TNorm, check_grades, godel
 from .relations import inf_implication_compose, sup_t_compose
 
 
@@ -21,12 +21,12 @@ class TrainingSet:
     targets: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", np.atleast_2d(np.asarray(self.inputs, float)))
-        object.__setattr__(self, "targets", np.atleast_2d(np.asarray(self.targets, float)))
-        if self.inputs.shape[0] != self.targets.shape[0]:
+        inputs = np.atleast_2d(np.asarray(self.inputs, float))
+        targets = np.atleast_2d(np.asarray(self.targets, float))
+        if inputs.shape[0] != targets.shape[0]:
             raise ValueError("inputs and targets must have the same number of rows")
-        check_grades(self.inputs, "inputs")
-        check_grades(self.targets, "targets")
+        object.__setattr__(self, "inputs", check_grades(inputs, "inputs"))
+        object.__setattr__(self, "targets", check_grades(targets, "targets"))
 
     @property
     def p(self):
@@ -44,7 +44,7 @@ class TrainingSet:
 @dataclass
 class TrainerConfig:
     eta: float = 0.1
-    epsilon: float = 1e-6
+    epsilon: float = STOP_TOL
     max_epochs: int = 10_000
     tnorm: TNorm = field(default_factory=lambda: MIN)
 
@@ -150,14 +150,14 @@ def delta_rule_K(ts: TrainingSet, t: TNorm) -> RuleKResult:
         a = ts.inputs[i][:, None]
         b = ts.targets[i]
         cand = t.apply_residuum(a, b)
-        unrepaired = (t.apply(W, a) > b + TOL) & (np.abs(t.apply(cand, a) - b) > 1e-7)
+        unrepaired = (t.apply(W, a) > b + TOL) & (np.abs(t.apply(cand, a) - b) > REPAIR_TOL)
         fallback += [(i, int(k), int(j)) for k, j in np.argwhere(unrepaired)]
         # clamp on the residuum itself rather than on the violation test so
         # the final weight is bit-for-bit the minimum of the per-sample
         # residua (the greatest solution)
         W = np.minimum(W, cand)
     err = training_error(t, ts, W)
-    return RuleKResult(W, err <= 1e-7, ts.p, [err], fallback)
+    return RuleKResult(W, err <= REPAIR_TOL, ts.p, [err], fallback)
 
 
 # ---------------------------------------------------------------------------

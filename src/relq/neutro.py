@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grades import TOL
+from .grades import TOL, check_grades
 
 MODES = ("graded", "absorbing")
 
@@ -45,9 +45,7 @@ class NeutroGrade:
     def __post_init__(self):
         if self.kind not in ("real", "indet"):
             raise ValueError(f"kind must be real/indet, got {self.kind!r}")
-        if not -TOL <= self.coeff <= 1 + TOL:
-            raise ValueError(f"coefficient {self.coeff!r} outside [0, 1]")
-        object.__setattr__(self, "coeff", min(1.0, max(0.0, float(self.coeff))))
+        object.__setattr__(self, "coeff", check_grades(self.coeff, "coefficient"))
         # the two zero representations are one value (bottom)
         if self.coeff == 0.0:
             object.__setattr__(self, "kind", "real")
@@ -111,17 +109,12 @@ def neutro_parse(token):
     return R(float(coeff))
 
 
-def _fmt_num(x):
-    s = f"{x:.9g}"
-    return s
-
-
 def neutro_format(g: NeutroGrade):
     if g.is_real:
-        return _fmt_num(g.coeff)
+        return f"{g.coeff:.9g}"
     if abs(g.coeff - 1.0) <= TOL:
         return "I"
-    return _fmt_num(g.coeff) + "I"
+    return f"{g.coeff:.9g}I"
 
 
 # ---------------------------------------------------------------------------

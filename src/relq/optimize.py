@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grades import CLOSE_ATOL, CLOSE_RTOL, MIN, OBJECTIVE_SLACK, TOL, ZERO_DIST2
+from .grades import CLOSE_ATOL, CLOSE_RTOL, MIN, OBJECTIVE_SLACK, STOP_TOL, TOL, ZERO_DIST2
 from .relations import MaxMin, as_grid, sup_t_compose
 from .solve import FreProblem, attains, binding_columns, cover_search
 
@@ -253,11 +253,11 @@ def optimize_nonlinear_ga(p: FreProblem, f, cfg: GaConfig | None = None):
 # Multi-objective search
 # ---------------------------------------------------------------------------
 
-def dominates(z1, z2, tol=OBJECTIVE_SLACK):
-    """z1 dominates z2 iff z1 <= z2 component-wise and z1 != z2; either side
-    may be a stack of points (last axis), giving a boolean array."""
+def dominates(z1, z2):
+    """z1 dominates z2 iff z1 <= z2 and z1 != z2 component-wise, within OBJECTIVE_SLACK;
+    either side may be a stack of points (last axis), giving a boolean array."""
     z1, z2 = np.asarray(z1, float), np.asarray(z2, float)
-    d = (z1 <= z2 + tol).all(axis=-1) & (z1 < z2 - tol).any(axis=-1)
+    d = (z1 <= z2 + OBJECTIVE_SLACK).all(axis=-1) & (z1 < z2 - OBJECTIVE_SLACK).any(axis=-1)
     return bool(d) if d.ndim == 0 else d
 
 
@@ -311,7 +311,7 @@ class FcmResult:
     iterations: int
 
 
-def fuzzy_c_means(points, C, m=2.0, tol=1e-6, max_iter=300, rng_seed=0):
+def fuzzy_c_means(points, C, m=2.0, tol=STOP_TOL, max_iter=300, rng_seed=0):
     """Alternating optimization of the fuzzy c-partition objective."""
     X = np.asarray(points, float)
     P = X.shape[0]

@@ -32,13 +32,9 @@ class Relation:
     __slots__ = ("cells",)
 
     def __init__(self, cells):
-        arr = _float_grid(cells)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
+        arr = as_grid(cells)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"relation must be a 2-d grid, got shape {arr.shape}")
-        check_grades(arr, "relation cells")
-        arr = np.clip(arr, 0.0, 1.0)
         arr.flags.writeable = False
         object.__setattr__(self, "cells", arr)
 
@@ -99,28 +95,25 @@ class Relation:
         return rel
 
 
-def _float_grid(cells):
-    """cells as a float array; rows of unequal length are rejected by number."""
+def as_grid(R):
+    """The cells of a Relation, or a raw grid (rows of unequal length are
+    rejected by number, a 1-d grid is one row) checked and clamped by
+    check_grades, as a float array."""
+    if isinstance(R, Relation):
+        return R.cells
     try:
-        return np.asarray(cells, dtype=float)
+        arr = np.asarray(R, dtype=float)
     except ValueError:
-        sizes = [len(r) if isinstance(r, (list, tuple, np.ndarray)) else 1 for r in cells]
+        sizes = [len(r) if isinstance(r, (list, tuple, np.ndarray)) else 1 for r in R]
         bad = [f"row {k} has length {n}" for k, n in enumerate(sizes) if n != sizes[0]]
         if not bad:
             raise
         more = " and more" if len(bad) > 5 else ""
         raise ValueError(f"ragged grid: row 0 has length {sizes[0]} but "
                          f"{', '.join(bad[:5])}{more}") from None
-
-
-def as_grid(R):
-    """Accept a Relation, array, or nested list; return the ndarray view."""
-    if isinstance(R, Relation):
-        return R.cells
-    arr = _float_grid(R)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    return arr
+    return check_grades(arr, "relation cells")
 
 
 def identity(n):

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grades import TOL, TNorm, check_grades, godel
+from .grades import (FIT_SLACK, IMAGE_TIE, STOP_TOL, SUPPORT_DIGITS, TOL, TNorm, check_grades,
+                     godel)
 from .relations import (
     MaxMin, MaxProduct, SupT, Relation, as_grid, compose, inf_implication_compose,
     sup_t_compose,
@@ -67,14 +68,11 @@ class FreProblem:
     composition: object = field(default_factory=MaxMin)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(as_grid(self.A), dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
-        if self.A.shape[1] != self.b.shape[0]:
-            raise ValueError(
-                f"A has {self.A.shape[1]} columns but b has {self.b.shape[0]} entries"
-            )
-        check_grades(self.A, "A")
-        check_grades(self.b, "b")
+        object.__setattr__(self, "A", as_grid(self.A))
+        b = np.asarray(self.b, dtype=float).ravel()
+        if self.A.shape[1] != b.shape[0]:
+            raise ValueError(f"A has {self.A.shape[1]} columns but b has {b.shape[0]} entries")
+        object.__setattr__(self, "b", check_grades(b, "b"))
 
     @property
     def m(self):
@@ -97,12 +95,12 @@ class FreProblem:
         x = np.asarray(x, float).ravel()
         if x.size != self.m:
             raise ValueError(f"dimension mismatch: x has {x.size} entries for {self.m} rows")
-        check_grades(x, "x")
+        x = check_grades(x, "x")
         return np.clip(sup_t_compose(self.tnorm(), x[None, :], self.A)[0], 0.0, 1.0)
 
-    def is_solution(self, x, tol=TOL):
-        """Whether x ∘ A = b within tol (lhs rejects a malformed x)."""
-        return bool(np.all(np.abs(self.lhs(x) - self.b) <= tol))
+    def is_solution(self, x):
+        """Whether x ∘ A = b within TOL (lhs rejects a malformed x)."""
+        return bool(np.all(np.abs(self.lhs(x) - self.b) <= TOL))
 
 
 @dataclass
@@ -112,38 +110,38 @@ class SolutionSet:
     minimals: list
     index_sets: list
 
-    def contains(self, x, tol=TOL):
+    def contains(self, x):
         """Membership via the interval characterization ∪ [minimal, x_hat]."""
         if not self.feasible:
             return False
         x = np.asarray(x, float)
-        if np.any(x > self.x_hat + tol):
+        if np.any(x > self.x_hat + TOL):
             return False
         lows = np.reshape(self.minimals, (len(self.minimals), x.size))
-        return bool(np.all(x >= lows - tol, axis=1).any())
+        return bool(np.all(x >= lows - TOL, axis=1).any())
 
 
 # ---------------------------------------------------------------------------
 # Maximum solution, binding structure, cover search
 # ---------------------------------------------------------------------------
 
-def max_solution(p: FreProblem, tol=TOL):
+def max_solution(p: FreProblem):
     """Sanchez greatest-solution candidate; None when the system is infeasible."""
     x_hat = inf_implication_compose(p.tnorm().apply_residuum, p.A, p.b[:, None])[:, 0]
-    if p.is_solution(x_hat, tol):
+    if p.is_solution(x_hat):
         return x_hat
     return None
 
 
-def attains(p: FreProblem, x, tol=TOL):
-    """Boolean m×n grid: row i attains constraint j, |t(x_i, a_ij) − b_j| <= tol."""
+def attains(p: FreProblem, x):
+    """Boolean m×n grid: row i attains constraint j, |t(x_i, a_ij) − b_j| <= TOL."""
     x = np.asarray(x, float)
-    return np.abs(p.tnorm().apply(x[:, None], p.A) - p.b) <= tol
+    return np.abs(p.tnorm().apply(x[:, None], p.A) - p.b) <= TOL
 
 
-def binding_sets(p: FreProblem, x_hat, tol=TOL):
+def binding_sets(p: FreProblem, x_hat):
     """I_j = rows that attain constraint j at equality under x_hat."""
-    return [np.flatnonzero(col).tolist() for col in attains(p, x_hat, tol).T]
+    return [np.flatnonzero(col).tolist() for col in attains(p, x_hat).T]
 
 
 def attain_value(p: FreProblem, i, j):
@@ -195,13 +193,13 @@ def cover_search(cols, x, leaf, prune=None):
     walk(0)
 
 
-def _dominance_filter(cands, tol=TOL):
+def _dominance_filter(cands):
     """Keep the cell-wise minimal elements, deduped, canonically sorted: a
-    candidate goes when a survivor is <= it + tol in every cell."""
+    candidate goes when a survivor is <= it + TOL in every cell."""
     def sweep(seq):
         out, kept = [], np.empty((len(seq), seq[0].size if seq else 0))
         for c in seq:
-            if not np.all(kept[:len(out)] <= c + tol, axis=1).any():
+            if not np.all(kept[:len(out)] <= c + TOL, axis=1).any():
                 kept[len(out)] = c
                 out.append(c)
         return out
@@ -297,8 +295,7 @@ def gavalec_certificate(A, b) -> GavalecCertificate:
     b = np.asarray(b, float).ravel()
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
-    check_grades(A, "A")
-    check_grades(b, "b")
+    b = check_grades(b, "b")
     bi = b[:, None]
     # pass 1: x̄_j = min(1, min b over M_j)
     x_bar = np.where(A > bi + TOL, bi, np.inf).min(axis=0, initial=1.0)
@@ -319,13 +316,13 @@ def gavalec_certificate(A, b) -> GavalecCertificate:
 # Attainability
 # ---------------------------------------------------------------------------
 
-def classify_attainability(x, p: FreProblem, tol=TOL):
+def classify_attainability(x, p: FreProblem):
     """Per-constraint attainability labels plus the overall classification."""
     x = np.asarray(x, float)
-    if not p.is_solution(x, tol):
+    if not p.is_solution(x):
         raise ValueError("x is not a solution of the system")
     labels = ["attainable" if hit else "unattainable"
-              for hit in attains(p, x, tol).any(axis=0)]
+              for hit in attains(p, x).any(axis=0)]
     if all(l == "attainable" for l in labels):
         overall = "attainable"
     elif all(l == "unattainable" for l in labels):
@@ -398,7 +395,7 @@ def kagei_type1(pairs, size, caps=None):
     return R
 
 
-def kagei_type2_unique(pairs, xdim, ydim, slack=1e-6, max_sweeps=1000):
+def kagei_type2_unique(pairs, xdim, ydim, slack=STOP_TOL, max_sweeps=1000):
     """Quasi-largest relation R(x,y) whose max-min image of each training
     pattern peaks strictly at the selected output (strictness via slack)."""
     pats, ys = np.array([p for p, _ in pairs], float), np.array([y for _, y in pairs])
@@ -412,7 +409,7 @@ def kagei_type2_unique(pairs, xdim, ydim, slack=1e-6, max_sweeps=1000):
             img = np.minimum(p_vec[:xdim, None], R)
             bound = img[:, y_star].max()
             new = max(0.0, bound - slack)
-            cut = (img >= bound - 1e-12) & (R > new)
+            cut = (img >= bound - IMAGE_TIE) & (R > new)
             cut[:, y_star] = False
             if cut.any():
                 R[cut] = new
@@ -451,7 +448,7 @@ def specificity_shift_fit(data, t: TNorm, alpha_grid, beta_grid):
             mse = 0.0
             for yv, pred in zip(Y, sup_t_compose(t, X, R)):
                 mse += float(np.sum((yv - pred) ** 2))
-            if best is None or mse < best[3] - 1e-15:
+            if best is None or mse < best[3] - FIT_SLACK:
                 best = (Relation(R), alpha, beta, mse)
     return best
 
@@ -478,7 +475,7 @@ def sre_solvability_criteria(premises, mode):
         if mode == "inf-rho":
             if not exclusive.any():
                 return False
-        elif not ({round(v, 12) for v in a[support].tolist()}
-                  <= {round(v, 12) for v in a[exclusive].tolist()}):
+        elif not ({round(v, SUPPORT_DIGITS) for v in a[support].tolist()}
+                  <= {round(v, SUPPORT_DIGITS) for v in a[exclusive].tolist()}):
             return False
     return True

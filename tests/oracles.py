@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from relq.grades import TOL
+from relq.grades import PRODUCT, TOL
 from relq.neutro import I, NeutroRelation, R, as_neutro
 from relq.solve import FreProblem, InfeasibleError, attain_value, binding_sets, max_solution
 
@@ -14,7 +14,7 @@ def grid_solutions(p: FreProblem, grid):
     sols = []
     for combo in itertools.product(grid, repeat=p.m):
         x = np.array(combo, float)
-        if p.is_solution(x, tol=1e-9):
+        if p.is_solution(x):
             sols.append(x)
     return sols
 
@@ -452,3 +452,48 @@ def fuzzy_c_means_loops(points, C, m=2.0, tol=1e-6, max_iter=300, rng_seed=0):
         ((X[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2), 0.0
     )).sum())
     return centers, U, objective, it
+
+
+def estimate_block_relations_loops(series, tol=1e-9):
+    """estimate_block_relations one block row at a time: each row the
+    residua of the block's inputs at its target, then the composition
+    identity checked row by row."""
+    out = []
+    for blk in series.blocks:
+        qs = series.q[list(blk)]
+        rs = series.r[list(blk)]
+        P = np.empty((len(blk), len(blk)))
+        for row, ridx in enumerate(blk):
+            target = series.r[ridx]
+            if np.max(qs) < target - tol:
+                raise ValueError(f"row {ridx} target {target} unattainable from inputs")
+            P[row] = PRODUCT.residuum(qs, target)
+        for row in range(len(blk)):
+            got = float(np.max(P[row] * qs))
+            if abs(got - rs[row]) > tol:
+                raise ValueError(f"composition identity failed at block row {row}")
+        peak_pos = int(np.argmax(rs))
+        out.append({"block": blk, "P": np.clip(P, 0.0, 1.0), "peak_index": blk[peak_pos],
+                    "peak_value": rs[peak_pos]})
+    return out
+
+
+def chemical_flow_loops(inputs, targets, mask, eta=0.5, max_iter=10_000, tol=1e-6):
+    """demo_chemical_flow with the weight update cell by cell: every unmasked
+    weight of an overshooting node whose term exceeds the node's target is
+    lowered by eta times the node's error."""
+    x = np.asarray(inputs, float)
+    r = np.asarray(targets, float)
+    W = np.where(mask, 1.0, 0.0)
+    it = 0
+    for it in range(1, max_iter + 1):
+        y = np.clip(np.max(W * x[None, :], axis=1), 0.0, 1.0)
+        if float(np.max(np.abs(y - r))) < tol:
+            break
+        for i in range(5):
+            if y[i] > r[i] + tol / 10:
+                for j in range(5):
+                    if mask[i, j] and W[i, j] * x[j] > r[i]:
+                        W[i, j] = max(0.0, W[i, j] - eta * (y[i] - r[i]))
+    y = np.clip(np.max(W * x[None, :], axis=1), 0.0, 1.0)
+    return W, y, it

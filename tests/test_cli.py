@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from relq import datasets
 from relq.cli import main
 
 
@@ -152,6 +153,19 @@ def test_demo_pallavan_blocks_3(capsys):
     hours = [int(line.split("hour ending ")[1].split()[0])
              for line in out.strip().splitlines()]
     assert hours == [10, 16, 20]
+
+
+@pytest.mark.parametrize("name", datasets.DEMO_NAMES)
+def test_demo_json_is_one_object(capsys, name):
+    code, out, _ = run(capsys, ["demo", name, "--format", "json"])
+    assert code == 0
+    assert isinstance(json.loads(out), dict) and out.count("\n") == 1
+
+
+def test_demo_tables_print_a_lone_entry_bare(capsys):
+    assert run(capsys, ["demo", "bonded-labor-nre"])[1] == "0.6 0.8I 0.4 0.4I 0.6 0.9\n"
+    assert run(capsys, ["demo", "bonded-labor-1"])[1] == (
+        "forward: 0.6 0.6 0.4 0.1 0.6 0.5\ninverse: 0.6 0.4 0.4 0.6\n")
 
 
 def test_demo_deterministic(capsys):

@@ -4,6 +4,8 @@ import pytest
 from relq import datasets
 from relq.neutro import I, R
 
+from .oracles import chemical_flow_loops, estimate_block_relations_loops
+
 
 def test_bonded_labor_forward_all_experts():
     expect = {
@@ -70,6 +72,44 @@ def test_estimate_unattainable_row():
     s = datasets.PartitionedSeries((1, 2), [0.1, 0.1], [0.9, 0.1], [(0, 1)])
     with pytest.raises(ValueError, match="row 0"):
         datasets.estimate_block_relations(s)
+
+
+def test_block_relations_match_loops():
+    # all 12 blocks of the three partitions, bit for bit, and a block whose
+    # first target equals its largest input
+    tie = datasets.PartitionedSeries((1, 2), [0.5, 0.3], [0.5, 0.3], [(0, 1)])
+    for series in [datasets.pallavan_series(p) for p in ("threes", "fives", "arbitrary")] + [tie]:
+        got = datasets.estimate_block_relations(series)
+        want = estimate_block_relations_loops(series)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g["block"] == w["block"] and g["peak_index"] == w["peak_index"]
+            assert g["peak_value"] == w["peak_value"]
+            assert np.array_equal(g["P"].cells, w["P"])
+
+
+def chemical_flow_cases():
+    """The default case, 60 seeded cases (half with targets reachable from
+    random masked weights, half with random targets) and an unreachable
+    target."""
+    x0 = np.array([0.20, 0.30, 0.25, 0.15, 0.40])
+    yield x0, np.max(np.where(datasets.CHEMICAL_FLOW_MASK, 0.6, 0.0) * x0, axis=1)
+    rng = np.random.default_rng(5)
+    for k in range(60):
+        x = rng.random(5)
+        if k % 2:
+            yield x, rng.random(5) * 0.8
+        else:
+            yield x, np.max(datasets.CHEMICAL_FLOW_MASK * rng.random((5, 5)) * x, axis=1)
+    yield x0, np.array([2.0, 0.1, 0.1, 0.1, 0.1])
+
+
+def test_chemical_flow_matches_loops():
+    for x, r in chemical_flow_cases():
+        res = datasets.demo_chemical_flow(x, r, max_iter=500)
+        W, y, it = chemical_flow_loops(x, r, datasets.CHEMICAL_FLOW_MASK, max_iter=500)
+        assert np.array_equal(res["weights"], W) and np.array_equal(res["outputs"], y)
+        assert res["iterations"] == it
 
 
 def test_chemical_flow_consistent():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from relq.grades import (DRASTIC, LUKASIEWICZ, MIN, PRODUCT, TOL,
                          GeneratorTNorm, Interval, NoSolution, Residuum,
-                         Unique, at_op, crisp_material, equality_index, godel,
+                         Unique, at_op, check_grades, crisp_material, equality_index, godel,
                          implication_by_name, kleene_dienes,
                          lukasiewicz_implication, q_metric, sigma_alpha,
                          solve_scalar_t, subsethood, tnorm_by_name)
@@ -15,9 +15,15 @@ from relq.grades import (DRASTIC, LUKASIEWICZ, MIN, PRODUCT, TOL,
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 ALL_TNORMS = [MIN, PRODUCT, LUKASIEWICZ, DRASTIC]
 CONTINUOUS = [MIN, PRODUCT, LUKASIEWICZ]
+# Archimedean t-norms from their generators: Hamacher's (1 - x)/x with no
+# inverse, so t and its residuum run by bisection, as the bench builds it;
+# and the product's -log with its inverse exp(-v)
+GENERATORS = [GeneratorTNorm(lambda x: (1.0 - x) / x, name="hamacher"),
+              GeneratorTNorm(lambda x: -math.log(x), f_inv=lambda v: math.exp(-v),
+                             name="product-generator")]
 
 
-@pytest.mark.parametrize("t", ALL_TNORMS)
+@pytest.mark.parametrize("t", ALL_TNORMS + GENERATORS)
 @given(a=UNIT, b=UNIT, c=UNIT)
 @settings(max_examples=100, deadline=None)
 def test_tnorm_axioms(t, a, b, c):
@@ -28,7 +34,7 @@ def test_tnorm_axioms(t, a, b, c):
         assert t(a, b) <= t(a, c) + TOL
 
 
-@pytest.mark.parametrize("t", CONTINUOUS)
+@pytest.mark.parametrize("t", CONTINUOUS + GENERATORS)
 @given(a=UNIT, b=UNIT, x=UNIT)
 @settings(max_examples=100, deadline=None)
 def test_residuum_adjunction(t, a, b, x):
@@ -153,3 +159,28 @@ def test_q_metric_axioms(t, data):
     assert q_metric(t, A, A) <= 1e-9
     assert abs(dAB - q_metric(t, B, A)) <= 1e-9
     assert dAB <= q_metric(t, A, C) + q_metric(t, C, B) + 1e-9
+
+
+BAND = st.floats(min_value=-TOL, max_value=1 + TOL)
+OUTSIDE = st.one_of(st.floats(max_value=-2 * TOL), st.floats(min_value=1 + 2 * TOL),
+                    st.just(math.nan))
+
+
+@given(v=BAND)
+@settings(max_examples=200, deadline=None)
+def test_check_grades_clamps_the_band(v):
+    # a grade within TOL of [0, 1] comes back clamped, as a float for a
+    # float and as an array for an array
+    got = check_grades(v)
+    assert type(got) is float and got == min(1.0, max(0.0, v))
+    arr = check_grades(np.array([[0.5, v]]))
+    assert isinstance(arr, np.ndarray) and arr.tolist() == [[0.5, got]]
+
+
+@given(v=OUTSIDE)
+@settings(max_examples=200, deadline=None)
+def test_check_grades_rejects_beyond_the_band(v):
+    with pytest.raises(ValueError, match="x must be finite and lie in"):
+        check_grades(v, "x")
+    with pytest.raises(ValueError, match="x must be finite and lie in"):
+        check_grades(np.array([[0.5, v]]), "x")

@@ -130,8 +130,9 @@ def test_premise_and_pattern_checks_match_loops(seed):
     prem = nudged(rng, (k, s), TOL) * (rng.random((k, s)) < 0.4)
     for mode in ("sup-t", "inf-rho"):
         assert sre_solvability_criteria(list(prem), mode) is sre_solvability_loops(prem, mode)
-    R = nudged(rng, (k, s), TOL) * (rng.random((k, s)) < 0.5)
-    T = nudged(rng, (k, s), TOL) * (rng.random((k, s)) < 0.5)
+    # clipped like pats below: a grade more than TOL outside [0, 1] is rejected
+    R = np.clip(nudged(rng, (k, s), TOL) * (rng.random((k, s)) < 0.5), 0.0, 1.0)
+    T = np.clip(nudged(rng, (k, s), TOL) * (rng.random((k, s)) < 0.5), 0.0, 1.0)
     assert irreflexivity_condition(R, T) is irreflexivity_loops(R, T)
     pats = np.clip(nudged(rng, (k + 2, 2), TOL) * (rng.random((k + 2, 2)) < 0.5), 0.0, 1.0)
     pairs = [(p, int(rng.integers(2))) for p in pats]

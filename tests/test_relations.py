@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relq.grades import MIN, PRODUCT
+from relq.grades import MIN, PRODUCT, godel
+from relq.optimize import equivalence_reduce, pseudo_char_matrix
+from relq.products import explain_at_least_k, triangle_product_subjects
 from relq.relations import (InfImplication, MaxMin, MaxProduct, Relation,
                             SupT, alpha_cut, as_grid, compose, composition_by_name,
                             identity, relation_properties, relational_join,
                             transitive_closure, transpose)
+from relq.solve import constrained_greatest, greatest_solution_relation, irreflexivity_condition
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -50,6 +53,28 @@ def test_ragged_grid_names_the_rows(cells, rows):
 def test_relation_rejects_bad_grades(bad):
     with pytest.raises(ValueError, match="relation cells must be finite and lie in"):
         Relation([[bad, 0.5]])
+
+
+GRID_CALLERS = {
+    "compose-max-min": lambda g: compose(MaxMin(), g, [[0.5]]),
+    "compose-max-product": lambda g: compose(MaxProduct(), [[0.3]], g),
+    "greatest_solution_relation": lambda g: greatest_solution_relation(g, [[0.5]]),
+    "constrained_greatest": lambda g: constrained_greatest(g, [[0.5]], "symmetric"),
+    "alpha_cut": lambda g: alpha_cut(g, 0.5),
+    "relational_join": lambda g: relational_join([[0.5]], g),
+    "triangle_product_subjects": lambda g: triangle_product_subjects(g, godel),
+    "explain_at_least_k": lambda g: explain_at_least_k(g, [0.5], 1),
+    "pseudo_char_matrix": lambda g: pseudo_char_matrix(g, [0.5]),
+    "equivalence_reduce": lambda g: equivalence_reduce(g, [0.5]),
+    "irreflexivity_condition": lambda g: irreflexivity_condition(g, [[0.0]]),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, 2.0, -0.5])
+@pytest.mark.parametrize("caller", sorted(GRID_CALLERS))
+def test_grid_entry_points_reject_bad_grades(caller, bad):
+    with pytest.raises(ValueError, match=r"must be finite and lie in \[0, 1\]"):
+        GRID_CALLERS[caller]([[bad]])
 
 
 @given(grids())
