@@ -1,12 +1,14 @@
-"""Truth-value algebra on the unit interval, in scalar and array form.
+"""Truth-value algebra on the unit interval, in array form.
 
 t-norms (with residua and Archimedean generators), implication operators,
-the residuation-style solution operators used to build greatest solutions
-of relational equations, scalar equation solving, equality indices and the
-distinguishability metric Q_t.  A t-norm's ``__call__``/``residuum`` take
-grades and ``apply``/``apply_residuum`` take arrays: exact numpy forms for
-the built-ins, the scalar method cell by cell in the base class (for
-generators with a scalar-only ``f``).  The implications take either.
+scalar equation solving, equality indices and the distinguishability
+metric Q_t.  Every operator is one numpy expression over broadcast arrays,
+written once: a t-norm's ``apply``, ``apply_residuum`` (closed forms, or
+one bisection over the whole array) and ``min_section_solution``, and the
+implications.  ``TNorm.__call__`` and ``TNorm.residuum`` are the same forms
+returning a plain float for grades.  ``GeneratorTNorm`` calls its ``f`` and
+``f_inv`` one Python float at a time, never at 0, so a scalar-only
+generator such as ``math.log`` works.
 
 The tolerance policy lives here, as named constants with their reasons
 below: TOL (the grade band and grade equality; ``check_grades`` is the one
@@ -65,16 +67,15 @@ def check_grades(values, name="grades"):
     return min(1.0, max(0.0, float(values))) if scalar else np.clip(values, 0.0, 1.0)
 
 
-def _bisect(low):
-    """60 halvings of [0, 1] toward the point where the monotone predicate
-    low(x) stops holding; returns the final (lo, hi) bracket."""
-    lo, hi = 0.0, 1.0
+def _bisect(low, shape=()):
+    """60 halvings of [0, 1] in every cell of ``shape`` at once, each toward
+    the point where the monotone predicate low(x) stops holding; returns the
+    final (lo, hi) brackets."""
+    lo, hi = np.zeros(shape), np.ones(shape)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if low(mid):
-            lo = mid
-        else:
-            hi = mid
+        below = low(mid)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return lo, hi
 
 
@@ -88,34 +89,42 @@ def _out(r):
 # ---------------------------------------------------------------------------
 
 class TNorm:
-    """Base class: a commutative, associative, monotone op with unit 1."""
+    """Base class: a commutative, associative, monotone op with unit 1.
+
+    A t-norm defines ``apply`` (and, where it has closed forms,
+    ``apply_residuum`` and ``min_section_solution``) once, over broadcast
+    arrays; ``__call__`` and ``residuum`` are those forms on grades."""
 
     name = "abstract"
     continuous = True
     archimedean = False
 
-    def __call__(self, a, b):
+    def apply(self, a, b):
+        """t in every broadcast cell of a and b."""
         raise NotImplementedError
 
-    def apply(self, a, b):
-        """Array form of __call__: t in every broadcast cell of a and b."""
-        return np.asarray(np.frompyfunc(self.__call__, 2, 1)(a, b), dtype=float)
+    def __call__(self, a, b):
+        """apply, as a plain float for two grades."""
+        return _out(self.apply(a, b))
 
     def apply_residuum(self, a, b):
-        """Array form of residuum."""
-        return np.asarray(np.frompyfunc(self.residuum, 2, 1)(a, b), dtype=float)
+        """sup{x : t(a, x) <= b} in every cell, by bisection unless overridden."""
+        a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+        bound = b + ROUNDING
+        lo = _bisect(lambda x: self.apply(a, x) <= bound, a.shape)[0]
+        return np.where(self.apply(a, 1.0) <= b + TOL, 1.0, lo)
 
     def residuum(self, a, b):
-        """sup{x : t(a, x) <= b}, by bisection unless overridden."""
-        if self(a, 1.0) <= b + TOL:
-            return 1.0
-        return _bisect(lambda x: self(a, x) <= b + ROUNDING)[0]
+        """apply_residuum, as a plain float for two grades."""
+        return _out(self.apply_residuum(a, b))
 
     def min_section_solution(self, a, b):
-        """Smallest x with t(a, x) >= b (requires a continuous section, a >= b)."""
-        if b <= 0.0:
-            return 0.0
-        return _bisect(lambda x: not self(a, x) >= b - ROUNDING)[1]
+        """Smallest x with t(a, x) >= b in every cell (requires a continuous
+        section, a >= b), by bisection unless overridden."""
+        a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+        bound = b - ROUNDING
+        hi = _bisect(lambda x: ~(self.apply(a, x) >= bound), a.shape)[1]
+        return _out(np.where(b <= 0.0, 0.0, hi))
 
     def __repr__(self):
         return f"<tnorm {self.name}>"
@@ -124,16 +133,11 @@ class TNorm:
 class MinTNorm(TNorm):
     name = "min"
 
-    def __call__(self, a, b):
-        return a if a < b else b
-
     def apply(self, a, b):
         return np.minimum(a, b)
 
-    def residuum(self, a, b):
+    def apply_residuum(self, a, b):
         return godel(a, b)
-
-    apply_residuum = residuum
 
     def min_section_solution(self, a, b):
         return b
@@ -143,42 +147,32 @@ class ProductTNorm(TNorm):
     name = "product"
     archimedean = True
 
-    def __call__(self, a, b):
+    def apply(self, a, b):
         return a * b
 
-    apply = __call__
-
-    def residuum(self, a, b):
+    def apply_residuum(self, a, b):
         below = a <= b + TOL  # divides only where a > b >= 0, never by 0
-        return _out(np.where(below, 1.0, b / np.where(below, 1.0, a)))
-
-    apply_residuum = residuum
+        return np.where(below, 1.0, b / np.where(below, 1.0, a))
 
     def min_section_solution(self, a, b):
-        if b <= 0.0:
-            return 0.0
-        return min(1.0, b / a) if a > 0 else 1.0
+        # b / a only where b < a, so it never divides by 0 nor overflows
+        # (where b >= a > 0, min(1, b / a) is 1)
+        over = b >= a
+        return _out(np.where(b <= 0.0, 0.0, np.where(over, 1.0, b / np.where(over, 1.0, a))))
 
 
 class LukasiewiczTNorm(TNorm):
     name = "lukasiewicz"
     archimedean = True
 
-    def __call__(self, a, b):
-        return max(0.0, a + b - 1.0)
-
     def apply(self, a, b):
         return np.maximum(0.0, a + b - 1.0)
 
-    def residuum(self, a, b):
+    def apply_residuum(self, a, b):
         return lukasiewicz_implication(a, b)
 
-    apply_residuum = residuum
-
     def min_section_solution(self, a, b):
-        if b <= 0.0:
-            return 0.0
-        return min(1.0, 1.0 - a + b)
+        return _out(np.where(b <= 0.0, 0.0, np.minimum(1.0, 1.0 - a + b)))
 
 
 class DrasticTNorm(TNorm):
@@ -187,28 +181,23 @@ class DrasticTNorm(TNorm):
     name = "drastic"
     continuous = False
 
-    def __call__(self, a, b):
-        if a >= 1.0 - ROUNDING:
-            return b
-        if b >= 1.0 - ROUNDING:
-            return a
-        return 0.0
-
     def apply(self, a, b):
         return np.where(a >= 1.0 - ROUNDING, b, np.where(b >= 1.0 - ROUNDING, a, 0.0))
 
-    def residuum(self, a, b):
+    def apply_residuum(self, a, b):
         # For a < 1 every x < 1 satisfies t(a,x)=0 <= b, so the sup is 1.
-        return _out(np.where((a >= 1.0 - ROUNDING) & (a > b + TOL), b, 1.0))
-
-    apply_residuum = residuum
+        return np.where((a >= 1.0 - ROUNDING) & (a > b + TOL), b, 1.0)
 
 
 class GeneratorTNorm(TNorm):
     """Archimedean t-norm from a decreasing generator f with f(1)=0.
 
-    t(a,b) = f^(-1)(f(a) + f(b)) where f^(-1) is the pseudo-inverse
-    (clamps arguments above f(0) to 0).
+    t(a,b) = f^(-1)(f(a) + f(b)) where f^(-1) is the pseudo-inverse: 1 at
+    or below 0, 0 at or above f(0), ``f_inv`` (clamped to [0, 1]) between,
+    or a bisection on f when ``f_inv`` is None.  The t-norm calls ``f`` and
+    ``f_inv`` with one Python float at a time, never at 0: there it uses
+    ``f_zero``, which defaults to f(0.0) taken once here (inf when that
+    raises).
     """
 
     name = "generator"
@@ -224,21 +213,28 @@ class GeneratorTNorm(TNorm):
             except (ValueError, ZeroDivisionError, OverflowError):
                 f_zero = math.inf
         self.f_zero = f_zero
-        self._f_inv = f_inv
+        self._f = np.frompyfunc(f, 1, 1)
+        self._f_inv = None if f_inv is None else np.frompyfunc(f_inv, 1, 1)
 
-    def pseudo_inverse(self, y):
-        if y <= 0.0:
-            return 1.0
-        if y >= self.f_zero:
-            return 0.0
+    # f, f_inv and f(a) + f(b) overflow to inf silently, as Python floats do
+    @np.errstate(over="ignore")
+    def apply(self, a, b):
+        y = self._f_or_zero(a) + self._f_or_zero(b)
+        x = np.where(y <= 0.0, 1.0, 0.0)
+        inner = (y > 0.0) & (y < self.f_zero)
+        yi = y[inner]
         if self._f_inv is not None:
-            return min(1.0, max(0.0, self._f_inv(y)))
-        return _bisect(lambda x: self.f(x) > y)[1]  # f decreasing, f(1) = 0 <= y
+            x[inner] = np.minimum(1.0, np.maximum(0.0, self._f_inv(yi).astype(float)))
+        else:  # f decreasing, f(1) = 0 <= y
+            x[inner] = _bisect(lambda u: self._f(u).astype(float) > yi, yi.shape)[1]
+        return x
 
-    def __call__(self, a, b):
-        fa = self.f(a) if a > 0.0 else self.f_zero
-        fb = self.f(b) if b > 0.0 else self.f_zero
-        return self.pseudo_inverse(fa + fb)
+    def _f_or_zero(self, v):
+        """f in every cell of v, and f_zero (not f) where v is 0."""
+        v = np.asarray(v, float)
+        fv = np.full(v.shape, self.f_zero, float)
+        fv[v > 0.0] = self._f(v[v > 0.0])
+        return fv
 
 
 MIN = MinTNorm()
@@ -271,9 +267,6 @@ def godel(a, b):
     """Goedel implication: 1 if a <= b else b.  It is also the residuum of
     min and the greatest-solution operator of max-min systems."""
     return _out(np.where(a <= b + TOL, 1.0, b))
-
-
-sigma_alpha = godel
 
 
 def lukasiewicz_implication(a, b):
@@ -328,19 +321,6 @@ def implication_by_name(name, tnorm=None):
         raise ValueError(
             f"unknown implication {name!r}; choose from {sorted(_IMPLICATIONS)} or 'residuum'"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# Solution operators
-# ---------------------------------------------------------------------------
-
-def at_op(composition, a, b):
-    """Greatest x with comp(x, a) <= b, for max-min / max-product: the
-    residuum of min or product."""
-    t = {"max-min": MIN, "max-product": PRODUCT}.get(composition)
-    if t is None:
-        raise ValueError(f"at_op supports max-min/max-product, got {composition!r}")
-    return t.residuum(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ class NeutroGrade:
         return self.kind == "indet"
 
     def __eq__(self, other):
-        if isinstance(other, (int, float)):
-            other = R(other)
+        # a grade is never equal to a plain number: no hash could agree with
+        # a TOL-wide equality against floats
         if not isinstance(other, NeutroGrade):
             return NotImplemented
         return self.kind == other.kind and abs(self.coeff - other.coeff) <= TOL

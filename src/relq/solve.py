@@ -144,21 +144,18 @@ def binding_sets(p: FreProblem, x_hat):
     return [np.flatnonzero(col).tolist() for col in attains(p, x_hat).T]
 
 
-def attain_value(p: FreProblem, i, j):
-    """Smallest x_i with t(x_i, a_ij) = b_j (row i must be able to attain j)."""
-    t = p.tnorm()
-    return t.min_section_solution(p.A[i, j], p.b[j])
-
-
 def binding_columns(p: FreProblem):
-    """x_hat, the binding sets I_j, and per constraint j the pairs
-    (i, attain_value(p, i, j)) for i in I_j; raises InfeasibleError when
-    the system has no solution."""
+    """x_hat, the binding sets I_j, and per constraint j the pairs (i, v)
+    for i in I_j, v the smallest x_i with t(x_i, a_ij) = b_j; raises
+    InfeasibleError when the system has no solution."""
     x_hat = max_solution(p)
     if x_hat is None:
         raise InfeasibleError("system is infeasible")
     sets = binding_sets(p, x_hat)
-    cols = [[(i, attain_value(p, i, j)) for i in s] for j, s in enumerate(sets)]
+    rows = np.array([i for s in sets for i in s], dtype=int)
+    js = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    vals = iter(p.tnorm().min_section_solution(p.A[rows, js], p.b[js]).tolist())
+    cols = [[(i, next(vals)) for i in s] for s in sets]
     return x_hat, sets, cols
 
 
@@ -336,34 +333,41 @@ def classify_attainability(x, p: FreProblem):
 # Greatest solutions of R ∘ U = T with structural constraints
 # ---------------------------------------------------------------------------
 
-def greatest_solution_relation(R, T):
-    """Greatest U with R∘U = T (max-min); None when infeasible."""
+def _greatest_max_min(R, T, restrict):
+    """restrict(U, T) for U the greatest candidate of R∘U = T (max-min), as
+    a Relation when it solves the system within TOL; None otherwise."""
     R, T = as_grid(R), as_grid(T)
     if R.shape[0] != T.shape[0]:
         raise ValueError(f"row mismatch: {R.shape} vs {T.shape}")
-    U = inf_implication_compose(godel, R.T, T)
+    U = restrict(inf_implication_compose(godel, R.T, T), T)
     if np.all(np.abs(compose(MaxMin(), R, U).cells - T) <= TOL):
         return Relation(U)
     return None
 
 
+def greatest_solution_relation(R, T):
+    """Greatest U with R∘U = T (max-min); None when infeasible."""
+    return _greatest_max_min(R, T, lambda U, T: U)
+
+
+def _irreflexive(U, T):
+    np.fill_diagonal(U, 0.0)
+    return U
+
+
+_RESTRICTIONS = {
+    "irreflexive": _irreflexive,
+    "symmetric": lambda U, T: np.minimum(U, U.T),
+    "transitive": lambda U, T: np.minimum(inf_implication_compose(godel, T.T, T), U),
+}
+
+
 def constrained_greatest(R, T, constraint):
     """Greatest irreflexive / symmetric / transitive solution of R∘U = T,
     when one exists; None otherwise."""
-    R, T = as_grid(R), as_grid(T)
-    U = inf_implication_compose(godel, R.T, T)
-    if constraint == "irreflexive":
-        cand = U.copy()
-        np.fill_diagonal(cand, 0.0)
-    elif constraint == "symmetric":
-        cand = np.minimum(U, U.T)
-    elif constraint == "transitive":
-        cand = np.minimum(inf_implication_compose(godel, T.T, T), U)
-    else:
+    if constraint not in _RESTRICTIONS:
         raise ValueError(f"unknown constraint {constraint!r}")
-    if np.all(np.abs(compose(MaxMin(), R, cand).cells - T) <= TOL):
-        return Relation(cand)
-    return None
+    return _greatest_max_min(R, T, _RESTRICTIONS[constraint])
 
 
 def irreflexivity_condition(R, T):

@@ -1,12 +1,18 @@
 """Independent brute-force oracles shared by the unit and acceptance tests."""
 
 import itertools
+import math
 
 import numpy as np
 
-from relq.grades import PRODUCT, TOL
+from relq.grades import PRODUCT, ROUNDING, TOL
 from relq.neutro import I, NeutroRelation, R, as_neutro
-from relq.solve import FreProblem, InfeasibleError, attain_value, binding_sets, max_solution
+from relq.solve import FreProblem, InfeasibleError, binding_sets, max_solution
+
+
+def attain_value(p: FreProblem, i, j):
+    """Smallest x_i with t(x_i, a_ij) = b_j, for one binding pair (i, j)."""
+    return p.tnorm().min_section_solution(p.A[i, j], p.b[j])
 
 
 def grid_solutions(p: FreProblem, grid):
@@ -130,6 +136,54 @@ def inf_implication_loops(imp, P, Q):
         for k in range(Q.shape[1]):
             out[i, k] = min(imp(P[i, j], Q[j, k]) for j in range(P.shape[1]))
     return out
+
+
+def _bisect_scalar(low):
+    """60 halvings of [0, 1] toward where low(x) stops holding: (lo, hi)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if low(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def generator_cells(f, f_inv, a, b):
+    """The t-norm of generator f (inverse f_inv, or None for a bisection on
+    f), its residuum and its min_section_solution in every cell of a and b,
+    one Python float at a time."""
+    try:
+        f_zero = f(0.0)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        f_zero = math.inf
+
+    def pseudo_inverse(y):
+        if y <= 0.0:
+            return 1.0
+        if y >= f_zero:
+            return 0.0
+        if f_inv is not None:
+            return min(1.0, max(0.0, f_inv(y)))
+        return _bisect_scalar(lambda x: f(x) > y)[1]
+
+    def t(a, b):
+        return pseudo_inverse((f(a) if a > 0.0 else f_zero) + (f(b) if b > 0.0 else f_zero))
+
+    def residuum(a, b):
+        if t(a, 1.0) <= b + TOL:
+            return 1.0
+        return _bisect_scalar(lambda x: t(a, x) <= b + ROUNDING)[0]
+
+    def min_section_solution(a, b):
+        if b <= 0.0:
+            return 0.0
+        return _bisect_scalar(lambda x: not t(a, x) >= b - ROUNDING)[1]
+
+    pairs = list(zip(np.ravel(a).tolist(), np.ravel(b).tolist()))
+    return tuple(np.reshape([op(x, y) for x, y in pairs], np.shape(a))
+                 for op in (t, residuum, min_section_solution))
 
 
 # the implications in their scalar form

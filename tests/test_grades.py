@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from relq.grades import (DRASTIC, LUKASIEWICZ, MIN, PRODUCT, TOL,
                          GeneratorTNorm, Interval, NoSolution, Residuum,
-                         Unique, at_op, check_grades, crisp_material, equality_index, godel,
+                         Unique, check_grades, crisp_material, equality_index, godel,
                          implication_by_name, kleene_dienes,
-                         lukasiewicz_implication, q_metric, sigma_alpha,
+                         lukasiewicz_implication, q_metric,
                          solve_scalar_t, subsethood, tnorm_by_name)
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -98,12 +98,14 @@ def test_implications():
     assert res(0.5, 0.25) == pytest.approx(0.5)
 
 
-def test_sigma_and_at_operators():
-    assert sigma_alpha(0.3, 0.6) == 1.0
-    assert sigma_alpha(0.6, 0.3) == 0.3
-    assert at_op("max-min", 0.6, 0.3) == 0.3
-    assert at_op("max-product", 0.08, 0.0096) == pytest.approx(0.12)
-    assert at_op("max-product", 0.3, 0.6) == 1.0
+def test_greatest_solution_operators():
+    # Sanchez's alpha-operator is Goedel's implication, the residuum of min;
+    # max-product's is the residuum of product
+    assert godel(0.3, 0.6) == 1.0
+    assert godel(0.6, 0.3) == 0.3
+    assert MIN.residuum(0.6, 0.3) == 0.3
+    assert PRODUCT.residuum(0.08, 0.0096) == pytest.approx(0.12)
+    assert PRODUCT.residuum(0.3, 0.6) == 1.0
 
 
 def test_solve_scalar_cases():

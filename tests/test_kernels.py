@@ -21,9 +21,9 @@ from relq.relations import InfImplication, MaxMin, MaxProduct, SupT, compose
 from relq.solve import FreProblem, max_solution
 
 from .oracles import (SCALAR_IMPLICATIONS, delta_rule_B_loops, delta_rule_K_loops,
-                      inf_implication_loops, sup_t_loops)
+                      generator_cells, inf_implication_loops, sup_t_loops)
 
-# scalar-only generator (math.log), so its array forms run cell by cell
+# scalar-only generator (math.log): f and f_inv take one Python float at a time
 GEN = GeneratorTNorm(lambda u: -math.log(u), f_inv=lambda v: math.exp(-v),
                      f_zero=math.inf, name="gen-product")
 TNORMS = [MIN, PRODUCT, LUKASIEWICZ, DRASTIC, GEN]
@@ -125,6 +125,28 @@ def test_tnorm_array_forms_equal_scalar_forms(t, pairs):
     a, b = np.array(pairs).T
     assert np.array_equal(t.apply(a, b), [t(x, y) for x, y in pairs])
     assert np.array_equal(t.apply_residuum(a, b), [t.residuum(x, y) for x, y in pairs])
+
+
+# (f, f_inv): Hamacher's with no inverse, so t runs a bisection on f inside
+# the residuum's; -log with exp; 1 - u² with a finite f(0) = 1
+GENERATOR_PAIRS = {
+    "hamacher": (lambda u: (1.0 - u) / u, None),
+    "log": (lambda u: -math.log(u), lambda v: math.exp(-v)),
+    "square": (lambda u: 1.0 - u * u, lambda v: math.sqrt(1.0 - v)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_PAIRS))
+def test_generator_forms_match_cell_loops(name):
+    # tie grades plus 0 and the tiny grades where f(a) + f(b) overflows
+    f, f_inv = GENERATOR_PAIRS[name]
+    g = GeneratorTNorm(f, f_inv, name=name)
+    grades = np.concatenate([tie_grid(np.random.default_rng(6), 10), [0.0, 5e-324, 1e-308]])
+    a, b = np.meshgrid(grades, grades)
+    t, residuum, section = generator_cells(f, f_inv, a, b)
+    assert np.array_equal(g.apply(a, b), t)
+    assert np.array_equal(g.apply_residuum(a, b), residuum)
+    assert np.array_equal(g.min_section_solution(a, b), section)
 
 
 @pytest.mark.parametrize("name", list(IMPLICATIONS))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relq.neutro import (I, NeutroGrade, NeutroRelation, R,
+from relq.neutro import (I, NeutroGrade, NeutroRelation, R, as_neutro,
                          n_pseudo_char_matrix, neutro_compose, neutro_format,
                          neutro_max, neutro_min, neutro_parse,
                          nre_max_solution)
@@ -19,14 +19,17 @@ GRADE = st.one_of(UNIT.map(R), UNIT.map(I))
 @settings(max_examples=200, deadline=None)
 def test_equal_grades_hash_alike(g, delta):
     h = NeutroGrade(g.kind, min(1.0, max(0.0, g.coeff + delta)))
-    if g == h:
-        assert hash(g) == hash(h) and len({g, h}) == 1
+    # a plain number too: whatever equals a grade hashes alike
+    for v in (h, h.coeff):
+        if g == v:
+            assert hash(g) == hash(v) and len({g, v}) == 1
 
 
 def test_grade_normalization():
     assert I(0.0) == R(0.0)
     assert I(0.0).kind == "real"
-    assert R(0.4) == 0.4
+    assert as_neutro(0.4) == R(0.4)
+    assert R(0.4) != 0.4
     with pytest.raises(ValueError):
         NeutroGrade("real", 1.5)
     with pytest.raises(ValueError):

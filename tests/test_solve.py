@@ -270,6 +270,9 @@ def test_constrained_greatest_symmetric():
     U = constrained_greatest(T, T, "symmetric")
     if U is not None:
         assert np.allclose(U.cells, U.cells.T)
+    # a row mismatch is an error, as in greatest_solution_relation, not "no solution"
+    with pytest.raises(ValueError, match=r"row mismatch: \(2, 1\) vs \(1, 1\)"):
+        constrained_greatest([[0.5], [0.3]], [[0.5]], "symmetric")
 
 
 def test_kagei_type1():
