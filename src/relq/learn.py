@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grades import MIN, REPAIR_TOL, STOP_TOL, TOL, TNorm, check_grades, godel
-from .relations import inf_implication_compose, sup_t_compose
+from .relations import SupT, compose, inf_implication_compose, sup_t_compose
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,12 @@ class TrainResult:
 
 
 def sup_t_image(t: TNorm, A, W):
-    """Row images A ∘ W under sup-t."""
-    return sup_t_compose(t, np.atleast_2d(np.asarray(A, float)), np.asarray(W, float))
+    """Row images A ∘ W under sup-t, checked as ``compose`` checks them."""
+    return np.array(compose(SupT(t), A, W).cells)
 
 
 def training_error(t: TNorm, ts: TrainingSet, W):
-    return float(np.max(np.abs(sup_t_image(t, ts.inputs, W) - ts.targets)))
+    return float(np.max(np.abs(sup_t_compose(t, ts.inputs, W) - ts.targets)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def _delta_rule(ts: TrainingSet, cfg: TrainerConfig, t: TNorm):
         epoch_changed = False
         for a, b in zip(ts.inputs, ts.targets):
             for _ in range(cfg.max_epochs):
-                delta = sup_t_image(t, a, W)[0] - b
+                delta = sup_t_compose(t, a[None, :], W)[0] - b
                 fire = (delta > cfg.epsilon) & (t.apply(W, a[:, None]) > b + TOL)
                 if not fire.any():
                     break
@@ -102,7 +102,7 @@ def _delta_rule(ts: TrainingSet, cfg: TrainerConfig, t: TNorm):
 
 def _solvable_limit(t, ts, W, eps):
     """Stable with no updates firing: outputs can only undershoot targets."""
-    img = sup_t_image(t, ts.inputs, W)
+    img = sup_t_compose(t, ts.inputs, W)
     return bool(np.all(img <= ts.targets + eps))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grades import CLOSE_ATOL, CLOSE_RTOL, MIN, OBJECTIVE_SLACK, STOP_TOL, TOL, ZERO_DIST2
 from .relations import MaxMin, as_grid, sup_t_compose
-from .solve import FreProblem, attains, binding_columns, cover_search
+from .solve import FreProblem, binding_columns, cover_search
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def optimize_linear(p: LinearFreProblem):
     row never lowers the cost).
     """
     base, c = p.base, p.c
-    x_hat, _, cols = binding_columns(base)
+    x_hat, sets, V = binding_columns(base)
     best = {"x": None, "z": np.inf}
 
     def leaf(x):
@@ -66,7 +66,7 @@ def optimize_linear(p: LinearFreProblem):
         if z < best["z"] - OBJECTIVE_SLACK:
             best["x"], best["z"] = x.copy(), z
 
-    cover_search(cols, np.where(c < 0.0, x_hat, 0.0), leaf,
+    cover_search(V, sets, np.where(c < 0.0, x_hat, 0.0), leaf,
                  prune=lambda x: np.dot(c, x) >= best["z"] - OBJECTIVE_SLACK)
     return best["x"], float(np.dot(c, best["x"]))
 
@@ -132,8 +132,8 @@ class _GaContext:
         self.A, self.b = p.A, p.b
         reduced = FreProblem(equivalence_reduce(p.A, p.b), p.b, MaxMin())
         # the reduction keeps the greatest solution; binding[j, i]: i in I_j
-        self.x_hat = binding_columns(reduced)[0]
-        self.binding = attains(reduced, self.x_hat).T
+        self.x_hat, _, V = binding_columns(reduced)
+        self.binding = np.isfinite(V).T
         # per row, the largest b_j the reduced row can reach (0 when none)
         self.lb_max = np.minimum(np.where(reduced.A >= p.b - TOL, p.b, 0.0).max(axis=1),
                                  self.x_hat)

@@ -5,14 +5,12 @@ three methods, fast solvability/uniqueness certificates, attainability
 classification, constrained greatest solutions, defuzzified rule extraction,
 and the specificity-shift estimator.
 
-The three enumeration methods run one search: ``cover_search`` from zeros
-over the binding columns, which visits the constraints fewest binding rows
-first (so a constraint with one binding row forces its row before any
-branching), then the dominance filter of its leaves.  They return the same
-arrays in the same order and differ only in what the cap counts: lambda
-the product ∏|I_j| before searching, pattern and archimedean the leaves.
-The dominance filter and ``SolutionSet.contains`` test a point against the
-whole stacked set in one array expression.
+The three enumeration methods run one search, ``cover_search`` from zeros,
+fewest binding rows first.  Its leaves are tested a block at a time and only
+the irredundant ones kept (each nonzero row alone covers some constraint at
+its attaining value); those are then swept for dominance within TOL.  Memory
+is one block plus the result.  The methods return the same arrays in the same
+order; lambda caps the product ∏|I_j| before searching, the others the leaves.
 """
 
 from __future__ import annotations
@@ -20,13 +18,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
 from .grades import (FIT_SLACK, IMAGE_TIE, STOP_TOL, SUPPORT_DIGITS, TOL, TNorm, check_grades,
                      godel)
 from .relations import (
-    MaxMin, MaxProduct, SupT, Relation, as_grid, compose, inf_implication_compose,
+    CHUNK_CELLS, MaxMin, MaxProduct, SupT, Relation, as_grid, compose, inf_implication_compose,
     sup_t_compose,
 )
 
@@ -145,64 +144,72 @@ def binding_sets(p: FreProblem, x_hat):
 
 
 def binding_columns(p: FreProblem):
-    """x_hat, the binding sets I_j, and per constraint j the pairs (i, v)
-    for i in I_j, v the smallest x_i with t(x_i, a_ij) = b_j; raises
-    InfeasibleError when the system has no solution."""
+    """x_hat, the binding sets I_j, and the m×n grid V with V[i, j] the
+    smallest x_i with t(x_i, a_ij) = b_j for i in I_j, inf elsewhere;
+    raises InfeasibleError when the system has no solution."""
     x_hat = max_solution(p)
     if x_hat is None:
         raise InfeasibleError("system is infeasible")
-    sets = binding_sets(p, x_hat)
-    rows = np.array([i for s in sets for i in s], dtype=int)
-    js = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-    vals = iter(p.tnorm().min_section_solution(p.A[rows, js], p.b[js]).tolist())
-    cols = [[(i, next(vals)) for i in s] for s in sets]
-    return x_hat, sets, cols
+    rows, js = np.nonzero(attains(p, x_hat))
+    V = np.full(p.A.shape, np.inf)
+    V[rows, js] = p.tnorm().min_section_solution(p.A[rows, js], p.b[js])
+    return x_hat, [[i for i, v in enumerate(col) if v < math.inf] for col in V.T.tolist()], V
 
 
-def cover_search(cols, x, leaf, prune=None):
+def cover_search(V, sets, x, leaf, prune=None):
     """Depth-first choice of one binding row per constraint, starting from x.
 
-    Constraints are visited fewest binding rows first (a stable sort, so a
-    constraint with one binding row forces its row before any branching).
-    One that some row already covers (x_i >= v - TOL for a pair (i, v) of
-    its column) is skipped, otherwise the search branches on raising each
-    binding row to its attaining value.  ``leaf(x)`` sees every complete
-    assignment (x is reused: copy what you keep) and a branch stops where
-    ``prune(x)`` is true.
+    Constraints go fewest binding rows (``sets[j]``, the finite cells of V)
+    first, in a stable order, so one with a single binding row forces it
+    before any branching.  A constraint that a row already covers (x_i >=
+    V[i, j] - TOL) is skipped, otherwise the search branches on raising each
+    binding row i to V[i, j].  ``leaf(x)`` sees every complete assignment (x
+    is reused: copy what you keep); a branch stops where ``prune(x)`` is true.
     """
-    cols = sorted(cols, key=len)
+    cols = sorted(zip(sets, V.T.tolist()), key=lambda c: len(c[0]))
 
     def walk(pos):
         if prune is not None and prune(x):
             return
-        while pos < len(cols) and any(x[i] >= v - TOL for i, v in cols[pos]):
+        while pos < len(cols) and any(x[i] >= cols[pos][1][i] - TOL for i in cols[pos][0]):
             pos += 1
         if pos == len(cols):
             leaf(x)
             return
-        # the column is uncovered, so each of its rows sits below v
-        for i, v in cols[pos]:
+        # the column is uncovered, so each of its rows sits below its value
+        rows, col = cols[pos]
+        for i in rows:
             old = x[i]
-            x[i] = v
+            x[i] = col[i]
             walk(pos + 1)
             x[i] = old
 
     walk(0)
 
 
-def _dominance_filter(cands):
-    """Keep the cell-wise minimal elements, deduped, canonically sorted: a
-    candidate goes when a survivor is <= it + TOL in every cell."""
-    def sweep(seq):
-        out, kept = [], np.empty((len(seq), seq[0].size if seq else 0))
-        for c in seq:
-            if not np.all(kept[:len(out)] <= c + TOL, axis=1).any():
-                kept[len(out)] = c
-                out.append(c)
-        return out
+def _irredundant(X, V):
+    """The leaves (rows of X) whose every nonzero x_i is the only cover of
+    some constraint j (x >= V - TOL), and within TOL of V[i, j]."""
+    cover = X[:, :, None] >= V - TOL
+    sole = cover & (cover.sum(axis=1, keepdims=True) == 1) & (X[:, :, None] <= V + TOL)
+    return X[(sole.any(axis=2) | (X == 0.0)).all(axis=1)]
 
-    # backwards again: float jitter can sort a vector before its dominator
-    return sweep(sweep([np.asarray(c, float) for c in sorted(cands, key=tuple)])[::-1])[::-1]
+
+def _minimal(S):
+    """S's rows in lexicographic order, swept forwards and then back: a row
+    goes when a kept one is <= it + TOL in every cell, so above TOL only where
+    the row is nonzero; one product per block of rows finds such pairs."""
+    S = S[np.lexsort(S.T[::-1])]
+    big, zero = (S > TOL).astype(np.float32), (S <= 0.0).astype(np.float32)
+    step, pairs, keep = max(1, CHUNK_CELLS // max(S.size, 1)), [], [True] * len(S)
+    for lo in range(0, len(S), step):
+        i, j = np.nonzero(big[lo:lo + step] @ zero.T == 0)
+        hit = (i + lo != j) & (S[i + lo] <= S[j] + TOL).all(axis=1)
+        pairs += zip((i[hit] + lo).tolist(), j[hit].tolist())
+    # i < j by rising j, then i > j by falling j; only a kept row drops one
+    for i, j in sorted(pairs, key=lambda p: (p[0] > p[1], p[1] if p[0] < p[1] else -p[1])):
+        keep[j] = keep[j] and not keep[i]
+    return list(S[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +217,27 @@ def _dominance_filter(cands):
 # ---------------------------------------------------------------------------
 
 def _cover_minimals(p: FreProblem, cap, message, lambda_bound=False) -> SolutionSet:
-    """cover_search from zeros, then the dominance filter.  The cap counts
-    the leaves; with ``lambda_bound`` the product ∏|I_j|, which bounds the
-    leaves, is refused before the search.  ``message`` formats the
-    CapExceeded text with the cap."""
+    """cover_search from zeros, its leaves tested about CHUNK_CELLS test
+    cells at a time and the survivors swept.  The cap counts the leaves;
+    with ``lambda_bound`` the bound ∏|I_j| is refused before the search.
+    ``message`` formats the CapExceeded text with the cap."""
     cap = combinatorial_cap() if cap is None else cap
-    x_hat, sets, cols = binding_columns(p)
+    x_hat, sets, V = binding_columns(p)
     if lambda_bound and math.prod(max(len(s), 1) for s in sets) > cap:
         raise CapExceeded(message.format(cap))
-    leaves = []
+    size, leaves, kept, seen = max(1, CHUNK_CELLS // V.size), [], [], count(1)
 
     def leaf(x):
-        leaves.append(x.copy())
-        if len(leaves) > cap:
+        if next(seen) > cap:
             raise CapExceeded(message.format(cap))
+        leaves.append(x.copy())
+        if len(leaves) == size:
+            kept.append(_irredundant(np.array(leaves), V))
+            leaves.clear()
 
-    cover_search(cols, np.zeros(p.m), leaf)
-    return SolutionSet(True, x_hat, _dominance_filter(leaves), sets)
+    cover_search(V, sets, np.zeros(p.m), leaf)
+    kept.append(_irredundant(np.array(leaves).reshape(-1, p.m), V))
+    return SolutionSet(True, x_hat, _minimal(np.concatenate(kept)), sets)
 
 
 def minimal_solutions_lambda(p: FreProblem, cap=None) -> SolutionSet:

@@ -414,6 +414,19 @@ def dominance_filter_loops(cands, tol=TOL):
     return final
 
 
+
+def irredundant_loops(x, V, tol=TOL):
+    """Whether every nonzero x_i, for some constraint j, is within tol of
+    V[i, j] and the only row covering j (x_l >= V[l, j] - tol)."""
+    m, n = V.shape
+    for i in range(m):
+        if x[i] != 0.0 and not any(
+                x[i] <= V[i, j] + tol
+                and [l for l in range(m) if x[l] >= V[l, j] - tol] == [i]
+                for j in range(n)):
+            return False
+    return True
+
 def dominates_pair(z1, z2, tol=1e-12):
     z1 = np.asarray(z1, float)
     z2 = np.asarray(z2, float)

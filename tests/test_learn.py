@@ -143,3 +143,15 @@ def test_unsolvable_converges_to_undershooting_limit():
     res = delta_rule_basic(ts, TrainerConfig(eta=0.5))
     img = sup_t_image(MIN, ts.inputs, res.W)
     assert np.all(img <= ts.targets + 1e-9)
+
+
+def test_sup_t_image_checks_its_inputs():
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(1, 1\) cannot compose"):
+        sup_t_image(MIN, [[0.5]], [[0.5, 0.2], [0.3, 0.1]])
+    for bad in (2.0, np.nan):
+        with pytest.raises(ValueError, match="must be finite and lie in"):
+            sup_t_image(MIN, [[bad]], [[0.5]])
+        with pytest.raises(ValueError, match="must be finite and lie in"):
+            sup_t_image(MIN, [[0.5]], [[bad]])
+    # a 1-d input is one row
+    assert sup_t_image(MIN, [0.5, 0.3], [[0.4], [0.9]]).tolist() == [[0.4]]

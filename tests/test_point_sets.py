@@ -1,6 +1,15 @@
-"""The minimal-solution filter, the Pareto archive, solution-set membership,
-the premise, pattern and irreflexivity checks and the fuzzy c-means
-membership update against their one-member-at-a-time loops, bit for bit.
+"""Minimal solutions, the dominance sweep, the Pareto archive, solution-set
+membership, the premise, pattern and irreflexivity checks and the fuzzy
+c-means membership update against their one-member-at-a-time loops, bit for
+bit.
+
+``solve`` tests the leaves of the cover search a block at a time, keeps the
+irredundant ones and sweeps only those for dominance within TOL, so memory
+is one block plus the result.  The oracle sweeps every leaf.  The two agree
+unless attaining values sit between TOL and 2·TOL apart: there the oracle
+can drop a minimal solution on its way through a redundant leaf (a named
+case pins one), so such systems are judged against the oracle's sweep of
+the irredundant leaves.
 
 Points sit on a 0.25 grid and are nudged around each tolerance in play: the
 filter's TOL (1e-9), the dominance slack (1e-12) and the np.isclose band
@@ -8,18 +17,22 @@ filter's TOL (1e-9), the dominance slack (1e-12) and the np.isclose band
 inside and just outside each band are common.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from relq.grades import TOL
+from relq.grades import LUKASIEWICZ, TOL, GeneratorTNorm
 from relq.optimize import ParetoArchive, dominates, fuzzy_c_means
-from relq.relations import MaxMin, MaxProduct
-from relq.solve import (FreProblem, _dominance_filter, irreflexivity_condition,
-                        kagei_type2_unique, solve, sre_solvability_criteria)
+from relq.relations import MaxMin, MaxProduct, SupT
+from relq.solve import (FreProblem, _minimal, binding_columns, cover_search,
+                        irreflexivity_condition, kagei_type2_unique, max_solution, solve,
+                        sre_solvability_criteria)
 
 from .oracles import (contains_loops, contradictory_pairs_loops, dominance_filter_loops,
-                      dominates_pair, fuzzy_c_means_loops, irreflexivity_loops,
-                      pareto_add_loops, sre_solvability_loops)
+                      dominates_pair, fuzzy_c_means_loops, irredundant_loops,
+                      irreflexivity_loops, pareto_add_loops, sre_solvability_loops)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 SCALES = (0.0, 0.5, -0.5, 0.9, -0.9, 2.0, -2.0)
@@ -36,19 +49,127 @@ def same_arrays(xs, ys):
         for x, y in zip(xs, ys))
 
 
+SQUARE = GeneratorTNorm(lambda u: 1.0 - u * u, f_inv=lambda v: math.sqrt(1.0 - v),
+                        name="1-u^2")
+COMPS = [MaxMin(), MaxProduct(), SupT(LUKASIEWICZ), SupT(SQUARE)]
+
+
+def leaves_and_grid(p):
+    """Every leaf of the cover search from zeros, and the grid V."""
+    _, sets, V = binding_columns(p)
+    leaves = []
+    cover_search(V, sets, np.zeros(p.m), lambda x: leaves.append(x.copy()))
+    return leaves, V
+
+
+def filtered_leaves(p):
+    """The pairwise dominance filter over every leaf of the cover search."""
+    return dominance_filter_loops(leaves_and_grid(p)[0])
+
+
+def filtered_irredundant_leaves(p):
+    """The pairwise dominance filter over the irredundant leaves."""
+    leaves, V = leaves_and_grid(p)
+    return dominance_filter_loops([x for x in leaves if irredundant_loops(x, V)])
+
+
+def methods_match(p, want):
+    for method in ("lambda", "pattern", "archimedean"):
+        if method == "archimedean" and not p.tnorm().archimedean:
+            continue
+        assert same_arrays(solve(p, method).minimals, want), method
+    return want
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_minimals_match_filtered_leaves(seed):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    comp = COMPS[seed % 4]
+    A = np.clip(nudged(rng, (m, n), TOL), 0.0, 1.0)
+    b = FreProblem(A, np.zeros(n), comp).lhs(rng.choice(GRID, size=m))
+    p = FreProblem(A, b, comp)
+    methods_match(p, filtered_leaves(p))
+
+
+def test_minimals_merge_ties_that_do_not_sort_together():
+    # two minimal solutions equal within TOL, [0.8, 0, 0.7, 0.8 + 2e-16, 0, 0, 0]
+    # and its mirror, sort with two others between them: one of them goes
+    A = [[.8, .4, .9, 1], [0, .1, .9, .9], [.9, 1, .2, .6], [.8, .8, 1, .3],
+         [.6, .5, 1, .6], [0, .7, .5, .8], [.7, .1, .7, .4]]
+    b = FreProblem(A, np.zeros(4), MaxProduct()).lhs([.2, .3, .2, .8, .7, 1, .5])
+    p = FreProblem(A, b, MaxProduct())
+    lows = np.array(methods_match(p, filtered_leaves(p)))
+    assert len(lows) == 10
+    below = np.all(lows[:, None] <= lows[None] + TOL, axis=2)
+    assert not below[~np.eye(10, dtype=bool)].any()
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_dominance_filter_matches_loops(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 6))
     cands = list(nudged(rng, (int(rng.integers(1, 80)), m), TOL))
     cands += [c.copy() for c in cands[:5]]  # exact duplicates
-    assert same_arrays(_dominance_filter(cands), dominance_filter_loops(cands))
+    assert same_arrays(_minimal(np.array(cands)), dominance_filter_loops(cands))
 
 
 def test_dominance_filter_small_cases():
-    cands = [np.array([0.5, 0.0]), np.array([0.0, 0.5]), np.array([0.5, 0.5])]
-    assert [c.tolist() for c in _dominance_filter(cands)] == [[0.0, 0.5], [0.5, 0.0]]
-    assert _dominance_filter([]) == []
+    cands = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
+    assert [c.tolist() for c in _minimal(cands)] == [[0.0, 0.5], [0.5, 0.0]]
+    assert _minimal(np.empty((0, 2))) == []
+    # values 0.8·TOL apart chain: the first row drops the second but not the
+    # third, 1.6·TOL away, so both ends stay
+    chain = 0.5 + TOL * np.array([[0.0, 0.0], [0.8, -0.8], [1.6, -1.6]])
+    assert same_arrays(_minimal(chain), [chain[0], chain[2]])
+    assert same_arrays(_minimal(chain), dominance_filter_loops(list(chain)))
+
+
+def test_minimals_drop_a_row_lower_elsewhere():
+    # attaining values 0.8·TOL to 1.6·TOL apart: the leaf [0, v, 0.6, w, 0]
+    # passes the per-leaf test, but [0, 0, v, w, 0] with v = 0.6 + 0.8·TOL
+    # is <= it + TOL in every cell, and it goes
+    A = np.array([[0.6, 0.8, 1, 0.5, 1], [1, 0.5, 0.5, 0.8, 1], [0.8, 0.6, 0.5, 0.8, 0.8],
+                  [0.5, 0.5, 1, 0.5, 1], [1, 0.6, 0.6, 0.8, 0.6]])
+    A += TOL * np.array([[-0.5, 0, 0, 0, 0], [-0.5, -1.6, 0, 0, -1.6], [0.8, 0, 0.3, 0, -0.8],
+                         [0, -1.6, 0, 0.5, 0], [0, 0, 0, 0, 0]])
+    p = FreProblem(A, 0.6 + TOL * np.array([0.8, 0.0, 0.3, 1.6, 1.2]), MaxMin())
+    assert len(methods_match(p, filtered_leaves(p))) == 6
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_minimals_with_chained_attaining_values(seed):
+    # b nudged by 0, ±0.5·TOL or ±0.9·TOL, so one column's attaining values
+    # can sit under TOL apart in a chain longer than TOL
+    for k in itertools.count():
+        rng = np.random.default_rng([seed, k])
+        m, n, comp = int(rng.integers(2, 7)), int(rng.integers(2, 9)), COMPS[seed % 4]
+        A = rng.choice(GRID[2:], size=(m, n))
+        b = FreProblem(A, np.zeros(n), comp).lhs(rng.choice(GRID[2:4], size=m))
+        p = FreProblem(A, np.clip(b + TOL * rng.choice(SCALES[:5], size=n), 0.0, 1.0), comp)
+        if max_solution(p) is not None:
+            break
+    methods_match(p, filtered_irredundant_leaves(p))
+
+
+def test_minimals_keep_an_irredundant_solution_the_leaf_filter_drops():
+    # the filter over every leaf keeps a redundant leaf on its way forwards,
+    # drops a minimal solution r with it, then drops that leaf on the way
+    # back: no solution it returns is <= r + TOL, so its union misses r
+    A = [[0.5, 0.75, 0.5, 0.75, 0.75, 0.75, 1.0, 0.75],
+         [0.5, 0.5, 0.75, 0.75, 0.5, 1.0, 0.5, 1.0],
+         [0.75, 0.75, 0.5, 0.5, 0.75, 0.75, 0.5, 0.5],
+         [0.75, 1.0, 1.0, 0.75, 0.75, 0.5, 0.75, 0.5],
+         [0.5, 1.0, 0.75, 0.75, 0.5, 1.0, 1.0, 1.0],
+         [0.5, 1.0, 1.0, 0.75, 0.75, 0.75, 0.5, 1.0]]
+    p = FreProblem(A, 0.75 + TOL * np.array([0.5, 0.9, 0, 0, -0.5, -0.5, -0.9, -0.5]), MaxMin())
+    got = methods_match(p, filtered_irredundant_leaves(p))
+    old = filtered_leaves(p)
+    assert len(got) == 10 and len(old) == 9
+    r = [x for x in got if not any(x.tobytes() == y.tobytes() for y in old)]
+    assert len(r) == 1 and p.is_solution(r[0])
+    assert not any(np.all(y <= r[0] + TOL) for y in old)
+    assert solve(p).contains(r[0])
 
 
 @pytest.mark.parametrize("seed", range(20))

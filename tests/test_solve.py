@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -21,6 +22,8 @@ from .oracles import (archimedean_buildup, grid_in_union, grid_solutions, minima
                       product_minimals)
 
 GRID5 = [0.0, 0.25, 0.5, 0.75, 1.0]
+# the module, not the function relq.solve that the package re-exports
+solve_module = importlib.import_module("relq.solve")
 
 
 def test_max_solution_identity():
@@ -160,16 +163,46 @@ def test_cap_at_the_count(method):
 
 def test_cover_search_skips_covered_columns_and_prunes():
     p = FreProblem(np.full((7, 7), 0.5), np.full(7, 0.5), MaxProduct())
-    x_hat, sets, cols = binding_columns(p)
+    x_hat, sets, V = binding_columns(p)
     assert sets == [list(range(7))] * 7
-    assert cols == [[(i, 1.0) for i in range(7)]] * 7
+    assert V.tolist() == np.ones((7, 7)).tolist()
     leaves = []
-    cover_search(cols, np.zeros(7), lambda x: leaves.append(x.copy()))
+    cover_search(V, sets, np.zeros(7), lambda x: leaves.append(x.copy()))
     assert minimal_set_key(leaves) == minimal_set_key(np.eye(7))
     leaves = []
-    cover_search(cols, np.zeros(7), lambda x: leaves.append(x.copy()),
+    cover_search(V, sets, np.zeros(7), lambda x: leaves.append(x.copy()),
                  prune=lambda x: x[0] > 0)
     assert minimal_set_key(leaves) == minimal_set_key(np.eye(7)[1:])
+
+
+def test_binding_grid_is_inf_off_the_binding_sets():
+    p = FreProblem([[0.5, 0.3], [0.7, 0.3]], [0.5, 0.3], MaxProduct())
+    # x_hat = [1, 5/7], and 5/7 · 0.3 misses b_2 = 0.3
+    x_hat, sets, V = binding_columns(p)
+    assert sets == [[0, 1], [0]]
+    assert V.tolist() == [[1.0, 1.0], [0.5 / 0.7, np.inf]]
+
+
+@pytest.mark.parametrize("per_block", [1, 3])
+@pytest.mark.parametrize("method", METHODS, ids=["lambda", "pattern", "archimedean"])
+def test_leaf_blocks_do_not_change_the_result(method, per_block, monkeypatch):
+    # the cap-count system (256 leaves) and tie-heavy grid systems, the
+    # leaves tested one and three at a time
+    A = np.zeros((16, 8))
+    A[np.arange(16), np.arange(16) // 2] = 1.0
+    systems = [FreProblem(A, np.full(8, 0.5), MaxProduct())]
+    systems += [grid_system(np.random.default_rng(seed), 10, 10, 2, SupT(t))
+                for seed in range(4) for t in (PRODUCT, LUKASIEWICZ)]
+    want = [method(p).minimals for p in systems]
+    for p, w in zip(systems, want):
+        monkeypatch.setattr(solve_module, "CHUNK_CELLS", per_block * p.m * p.n)
+        got = method(p).minimals
+        assert len(got) == len(w)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, w))
+    monkeypatch.setattr(solve_module, "CHUNK_CELLS", per_block * 16 * 8)
+    with pytest.raises(CapExceeded):
+        method(systems[0], cap=255)
+    assert len(method(systems[0], cap=256).minimals) == 256
 
 
 @pytest.mark.parametrize("method", METHODS, ids=["lambda", "pattern", "archimedean"])
