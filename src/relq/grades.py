@@ -7,8 +7,9 @@ written once: a t-norm's ``apply``, ``apply_residuum`` (closed forms, or
 one bisection over the whole array) and ``min_section_solution``, and the
 implications.  ``TNorm.__call__`` and ``TNorm.residuum`` are the same forms
 returning a plain float for grades.  ``GeneratorTNorm`` calls its ``f`` and
-``f_inv`` one Python float at a time, never at 0, so a scalar-only
-generator such as ``math.log`` works.
+``f_inv`` once per array when each, tried once on a float array, gives bit
+for bit what it gives per Python float; otherwise (a scalar-only generator
+such as ``math.log``) one Python float at a time.  It never calls them at 0.
 
 The tolerance policy lives here, as named constants with their reasons
 below: TOL (the grade band and grade equality; ``check_grades`` is the one
@@ -19,6 +20,7 @@ ROUNDING, REPAIR_TOL, IMAGE_TIE, FIT_SLACK, SUPPORT_DIGITS and STOP_TOL.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +59,14 @@ STOP_TOL = 1e-6
 
 def check_grades(values, name="grades"):
     """Return values clamped to [0, 1]: a Python number as a float (without
-    a numpy call), anything else as an array.  Raise ValueError unless every
-    cell lies within TOL of [0, 1]; NaN and ±inf fail the range test."""
-    ok = (values >= -TOL) & (values <= 1 + TOL)
+    a numpy call); an array as itself when every cell already lies in
+    [0, 1], else as a clamped copy, so a caller that writes into the result
+    copies it first.  Raise ValueError unless every cell lies within TOL of
+    [0, 1]; NaN and ±inf fail the range test."""
     scalar = isinstance(values, (float, int))
+    if not scalar and ((values >= 0.0) & (values <= 1.0)).all():
+        return values
+    ok = (values >= -TOL) & (values <= 1 + TOL)
     if not (ok if scalar else np.all(ok)):
         bad = float(values) if scalar else float(np.asarray(values)[~ok].flat[0])
         raise ValueError(f"{name} must be finite and lie in [0, 1], got {bad!r}")
@@ -189,15 +195,46 @@ class DrasticTNorm(TNorm):
         return np.where((a >= 1.0 - ROUNDING) & (a > b + TOL), b, 1.0)
 
 
+# Points of (0, 1) on which GeneratorTNorm tries its f once, over a float
+# array: a regular grid and small grades.  Its f_inv is tried on them times
+# f(0), or times 1000 when f(0) is inf, inside f_inv's domain (0, f(0)).
+# Plain floats: numpy's linspace and geomspace here added 0.4 MB to the peak
+# RSS of every `import relq`.
+_PROBE = tuple(k / 64 for k in range(1, 64)) + (1e-3, 1e-6, 1e-12, 1e-30, 1e-100, 1e-300)
+
+
+def _array_form(fn, probe):
+    """fn itself when, called once on the float array probe, it returns a
+    float array of probe's shape that is bit for bit fn on each cell as a
+    Python float; else fn called one Python float at a time, as floats."""
+    per_cell = np.frompyfunc(fn, 1, 1)
+
+    def cells(v):
+        return per_cell(v).astype(float)
+
+    try:
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want, got = cells(probe), fn(probe.copy())
+    except Exception:  # raising is one way of not taking an array
+        return cells
+    fits = isinstance(got, np.ndarray) and got.dtype == float and got.shape == probe.shape
+    return fn if fits and got.tobytes() == want.tobytes() else cells
+
+
 class GeneratorTNorm(TNorm):
     """Archimedean t-norm from a decreasing generator f with f(1)=0.
 
     t(a,b) = f^(-1)(f(a) + f(b)) where f^(-1) is the pseudo-inverse: 1 at
     or below 0, 0 at or above f(0), ``f_inv`` (clamped to [0, 1]) between,
-    or a bisection on f when ``f_inv`` is None.  The t-norm calls ``f`` and
-    ``f_inv`` with one Python float at a time, never at 0: there it uses
-    ``f_zero``, which defaults to f(0.0) taken once here (inf when that
-    raises).
+    or a bisection on f when ``f_inv`` is None.  Here, once, ``f`` is tried
+    on a float array of grades in (0, 1) and ``f_inv`` on one of values in
+    (0, f(0)): one that gives bit for bit what it gives per Python float is
+    then called once per array; one that raises, gives another shape or
+    other bits is called one Python float at a time, so ``math.log`` works.
+    Neither is called at 0:
+    there the t-norm uses ``f_zero``, which defaults to f(0.0) taken once
+    here (inf when that raises).
     """
 
     name = "generator"
@@ -213,8 +250,9 @@ class GeneratorTNorm(TNorm):
             except (ValueError, ZeroDivisionError, OverflowError):
                 f_zero = math.inf
         self.f_zero = f_zero
-        self._f = np.frompyfunc(f, 1, 1)
-        self._f_inv = None if f_inv is None else np.frompyfunc(f_inv, 1, 1)
+        probe = np.array(_PROBE)
+        self._f = _array_form(f, probe)
+        self._f_inv = None if f_inv is None else _array_form(f_inv, probe * min(f_zero, 1e3))
 
     # f, f_inv and f(a) + f(b) overflow to inf silently, as Python floats do
     @np.errstate(over="ignore")
@@ -224,16 +262,17 @@ class GeneratorTNorm(TNorm):
         inner = (y > 0.0) & (y < self.f_zero)
         yi = y[inner]
         if self._f_inv is not None:
-            x[inner] = np.minimum(1.0, np.maximum(0.0, self._f_inv(yi).astype(float)))
+            x[inner] = np.minimum(1.0, np.maximum(0.0, self._f_inv(yi)))
         else:  # f decreasing, f(1) = 0 <= y
-            x[inner] = _bisect(lambda u: self._f(u).astype(float) > yi, yi.shape)[1]
+            x[inner] = _bisect(lambda u: self._f(u) > yi, yi.shape)[1]
         return x
 
     def _f_or_zero(self, v):
         """f in every cell of v, and f_zero (not f) where v is 0."""
         v = np.asarray(v, float)
         fv = np.full(v.shape, self.f_zero, float)
-        fv[v > 0.0] = self._f(v[v > 0.0])
+        pos = v > 0.0
+        fv[pos] = self._f(v[pos])
         return fv
 
 

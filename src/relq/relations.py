@@ -6,8 +6,12 @@ an arbitrary t-norm, and inf-implication.  Two array kernels compute every
 composition: ``sup_t_compose`` (max over j of t(P[i,j], Q[j,k]), through
 the t-norm's ``apply``) and ``inf_implication_compose`` (min over j of
 imp(P[i,j], Q[j,k]); with a residuum as imp this is the Sanchez greatest
-solution).  Both work on slices of the middle axis, so a temporary holds
-at most ``CHUNK_CELLS`` cells whatever the shapes.
+solution).  Both work on a block of rows of P and a slice of the middle
+axis at a time, so a temporary holds at most max(``CHUNK_CELLS``, cols)
+cells; a call that fits in one block is one op and one reduce.
+``compose`` checks a raw operand in place and copies it only to clamp a
+cell in the TOL band; a Relation copies any array its caller can still
+write.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ class Relation:
         arr = as_grid(cells)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"relation must be a 2-d grid, got shape {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "cells", arr)
+        # as_grid may return the caller's array or a view of it: freeze a copy
+        _seal(self, arr.copy() if arr is cells or arr.base is not None else arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("Relation is immutable")
@@ -95,10 +99,24 @@ class Relation:
         return rel
 
 
+def _seal(rel, arr):
+    """rel with arr, made read-only, as its cells."""
+    arr.flags.writeable = False
+    object.__setattr__(rel, "cells", arr)
+    return rel
+
+
+def _relation_of(arr):
+    """A Relation on arr itself, an array no caller holds (a kernel's
+    output), checked like any grid."""
+    return _seal(object.__new__(Relation), check_grades(arr, "relation cells"))
+
+
 def as_grid(R):
     """The cells of a Relation, or a raw grid (rows of unequal length are
     rejected by number, a 1-d grid is one row) checked and clamped by
-    check_grades, as a float array."""
+    check_grades, as a float array: a float array comes back as itself, or
+    as a view of it, unless a cell had to be clamped."""
     if isinstance(R, Relation):
         return R.cells
     try:
@@ -117,7 +135,7 @@ def as_grid(R):
 
 
 def identity(n):
-    return Relation(np.eye(n))
+    return _relation_of(np.eye(n))
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +193,34 @@ def composition_by_name(name):
     raise ValueError(f"unknown composition {name!r}")
 
 
-# Largest temporary (in cells, 8 MB of float64) a kernel builds at once.
-CHUNK_CELLS = 1 << 20
+# Largest temporary (in cells, 256 KB of float64) a kernel builds at once,
+# unless one row of Q alone is larger.  Above 256 KB the allocator maps and
+# unmaps every temporary, and a few of them no longer fit a 2 MB L2 cache.
+CHUNK_CELLS = 1 << 15
 
 
 def _chunked(op, reduce, P, Q):
-    """reduce over j of op(P[i,j], Q[j,k]), a slice of j at a time."""
+    """reduce over j of op(P[i,j], Q[j,k]), for a block of rows of P and a
+    slice of j at a time: each op temporary holds at most
+    max(CHUNK_CELLS, cols) cells.  Each cell's op value is the same in any
+    block, and max and min reduce exactly, so the blocks never change the
+    result."""
     rows, mid = P.shape
     cols = Q.shape[1]
-    step = max(1, CHUNK_CELLS // max(rows * cols, 1))
-    out = reduce.reduce(op(P[:, :step, None], Q[None, :step, :]), axis=1)
-    for s in range(step, mid, step):
-        reduce(out, reduce.reduce(op(P[:, s:s + step, None], Q[None, s:s + step, :]),
-                                  axis=1), out=out)
-    return out
+    if rows * mid * cols <= CHUNK_CELLS:
+        return reduce.reduce(op(P[:, :, None], Q[None, :, :]), axis=1)
+    step = min(mid, max(1, CHUNK_CELLS // cols))
+    step = -(-mid // -(-mid // step))  # the same number of slices, evened out
+    block = max(1, CHUNK_CELLS // (step * cols))
+    out = []
+    for r in range(0, rows, block):
+        p = P[r:r + block, :, None]
+        acc = reduce.reduce(op(p[:, :step], Q[None, :step]), axis=1)
+        for s in range(step, mid, step):
+            reduce(acc, reduce.reduce(op(p[:, s:s + step], Q[None, s:s + step]), axis=1),
+                   out=acc)
+        out.append(acc)
+    return np.concatenate(out)
 
 
 def sup_t_compose(t: TNorm, P, Q):
@@ -207,9 +239,9 @@ def compose(spec, P, Q):
     if P.shape[1] != Q.shape[0]:
         raise ValueError(f"dimension mismatch: {P.shape} cannot compose with {Q.shape}")
     if isinstance(spec, (MaxMin, MaxProduct, SupT)):
-        return Relation(sup_t_compose(spec.tnorm, P, Q))
+        return _relation_of(sup_t_compose(spec.tnorm, P, Q))
     if isinstance(spec, InfImplication):
-        return Relation(inf_implication_compose(spec.implication, P, Q))
+        return _relation_of(inf_implication_compose(spec.implication, P, Q))
     raise ValueError(f"unknown composition spec {spec!r}")
 
 
@@ -232,7 +264,7 @@ def alpha_cut(R, alpha, strong=False):
         mask = grid > alpha + TOL
     else:
         mask = grid >= alpha - TOL
-    return Relation(mask.astype(float))
+    return _relation_of(mask.astype(float))
 
 
 def relation_properties(R, eps=0.5):
@@ -243,7 +275,7 @@ def relation_properties(R, eps=0.5):
         raise ValueError(f"relation_properties needs a square relation, got {grid.shape}")
     diag = np.diag(grid)
     off = ~np.eye(n, dtype=bool)
-    square = compose(MaxMin(), grid, grid).cells
+    square = sup_t_compose(MIN, grid, grid)
     return {
         "reflexive": bool(np.all(diag >= 1 - TOL)),
         "antireflexive": bool(np.all(diag <= TOL)),
@@ -262,10 +294,9 @@ def transitive_closure(R, t: TNorm = MIN):
     n, m = grid.shape
     if n != m:
         raise ValueError("transitive closure needs a square relation")
-    spec = SupT(t)
     cur = grid
     for _ in range(n + 1):
-        nxt = np.maximum(cur, compose(spec, cur, cur).cells)
+        nxt = np.maximum(cur, sup_t_compose(t, cur, cur))
         if np.all(np.abs(nxt - cur) <= TOL):
             break
         cur = nxt

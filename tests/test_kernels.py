@@ -6,6 +6,7 @@ residua and of the Goedel implication switch branches.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +43,10 @@ def tie_grid(rng, shape):
     return np.clip(g, 0.0, 1.0)
 
 
-@pytest.fixture(params=[relations.CHUNK_CELLS, 7], ids=["one-chunk", "many-chunks"])
+# shapes() keeps mid·cols <= 36, so 36 splits the rows of P but never j,
+# and 7 splits both
+@pytest.fixture(params=[relations.CHUNK_CELLS, 36, 7],
+                ids=["one-chunk", "row-blocks", "many-chunks"])
 def chunk(request, monkeypatch):
     monkeypatch.setattr(relations, "CHUNK_CELLS", request.param)
     return request.param
@@ -76,6 +80,40 @@ def test_inf_implication_compose_matches_loops(name, chunk):
         P, Q = tie_grid(rng, (rows, mid)), tie_grid(rng, (mid, cols))
         assert np.array_equal(compose(InfImplication(imp), P, Q).cells,
                               inf_implication_loops(scalar, P, Q))
+
+
+def recording(op, sizes):
+    """op, recording the cell count of each temporary it returns."""
+    def wrapped(a, b):
+        out = op(a, b)
+        sizes.append(np.size(out))
+        return out
+    return wrapped
+
+
+@pytest.mark.parametrize("chunk_cells, rows, mid, cols", [
+    (None, 200, 40, 200),  # rows·cols > CHUNK_CELLS, one j slice per block of rows
+    (None, 3, 300, 150),   # mid·cols > CHUNK_CELLS, slices of j
+    (7, 5, 6, 4),          # rows and j split down to a few cells
+    (7, 3, 4, 9),          # cols > CHUNK_CELLS: one row and one j at a time
+])
+def test_kernel_temporaries_stay_within_the_block_bound(chunk_cells, rows, mid, cols,
+                                                        monkeypatch):
+    if chunk_cells is not None:
+        monkeypatch.setattr(relations, "CHUNK_CELLS", chunk_cells)
+    bound = max(relations.CHUNK_CELLS, cols)
+    rng = np.random.default_rng(7)
+    P, Q = tie_grid(rng, (rows, mid)), tie_grid(rng, (mid, cols))
+    kernels = [(lambda op: relations.sup_t_compose(SimpleNamespace(apply=op), P, Q),
+                PRODUCT.apply),
+               (lambda op: relations.inf_implication_compose(op, P, Q), godel)]
+    for kernel, op in kernels:
+        sizes = []
+        blocked = kernel(recording(op, sizes))
+        assert len(sizes) > 1 and max(sizes) <= bound
+        with monkeypatch.context() as m:  # the whole product in one block
+            m.setattr(relations, "CHUNK_CELLS", rows * mid * cols)
+            assert blocked.tobytes() == kernel(op).tobytes()
 
 
 def test_crisp_implication_compose_matches_loops(chunk):
@@ -147,6 +185,67 @@ def test_generator_forms_match_cell_loops(name):
     assert np.array_equal(g.apply(a, b), t)
     assert np.array_equal(g.apply_residuum(a, b), residuum)
     assert np.array_equal(g.min_section_solution(a, b), section)
+
+
+def counted(fn, calls):
+    """fn, recording for each call whether it was given an array."""
+    def wrapped(v):
+        calls.append(isinstance(v, np.ndarray))
+        return fn(v)
+    return wrapped
+
+
+def test_array_generator_is_called_once_per_array():
+    # an 8×8×8 sup-t compose is one apply: f once on each operand, then once
+    # per step of the 60-step bisection that stands in for f's inverse
+    calls = []
+    g = GeneratorTNorm(counted(GENERATOR_PAIRS["hamacher"][0], calls), name="hamacher")
+    calls.clear()
+    rng = np.random.default_rng(8)
+    P, Q = tie_grid(rng, (8, 8)), tie_grid(rng, (8, 8))
+    out = compose(SupT(g), P, Q).cells
+    assert calls == [True] * (2 + 60)
+    assert np.array_equal(out, sup_t_loops(g, P, Q))
+
+
+# whether f, and f_inv, is called one Python float at a time: math.log,
+# math.exp and math.sqrt refuse an array
+PER_CELL = {"hamacher": (False, None), "log": (True, True), "square": (False, True)}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_PAIRS))
+def test_generator_calls_a_scalar_only_function_per_cell(name):
+    f, f_inv = GENERATOR_PAIRS[name]
+    f_calls, inv_calls = [], []
+    g = GeneratorTNorm(counted(f, f_calls), f_inv and counted(f_inv, inv_calls), name=name)
+    f_calls.clear()
+    inv_calls.clear()
+    a, b = np.meshgrid(*2 * [np.linspace(0.1, 0.9, 9)])
+    g.apply(a, b)
+    for calls, per_cell in zip((f_calls, inv_calls), PER_CELL[name]):
+        if per_cell is not None:
+            assert calls and set(calls) == {not per_cell}
+
+
+@pytest.mark.parametrize("array_form", [
+    lambda u: np.zeros(3),                              # the wrong shape
+    lambda u: (1.0 - u) / u * (1.0 + 2.0 ** -52),       # other bits
+    lambda u: ((1.0 - u) / u).tolist(),                 # not an array
+    lambda u: ((1.0 - u) / u).astype(np.float32),       # another dtype
+])
+def test_generator_falls_back_unless_the_array_form_is_exact(array_form):
+    hamacher = GENERATOR_PAIRS["hamacher"][0]
+    calls = []
+
+    def f(u):
+        return hamacher(u) if isinstance(u, float) else array_form(u)
+
+    g = GeneratorTNorm(counted(f, calls), name="hamacher-or-not")
+    calls.clear()
+    grades = np.concatenate([tie_grid(np.random.default_rng(9), 10), [0.0, 5e-324, 1e-308]])
+    a, b = np.meshgrid(grades, grades)
+    assert np.array_equal(g.apply(a, b), generator_cells(hamacher, None, a, b)[0])
+    assert calls and not any(calls)
 
 
 @pytest.mark.parametrize("name", list(IMPLICATIONS))

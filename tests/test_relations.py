@@ -77,6 +77,31 @@ def test_grid_entry_points_reject_bad_grades(caller, bad):
         GRID_CALLERS[caller]([[bad]])
 
 
+def test_compose_leaves_a_raw_operand_writeable_and_unchanged():
+    P = np.array([[0.2, 0.7], [1.0, 0.0]])
+    before = P.copy()
+    compose(MaxMin(), P, [[0.5], [0.9]])
+    assert P.flags.writeable and np.array_equal(P, before)
+    # an in-range float grid is used as it is; a cell in the TOL band outside
+    # [0, 1] is clamped in a copy, never in the caller's array
+    assert as_grid(P) is P
+    Q = np.array([[1.0 + 1e-12, 0.5]])
+    assert as_grid(Q)[0, 0] == 1.0 and Q[0, 0] == 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("source", ["2-d", "1-d", "view", "kernel output"])
+def test_relation_never_shares_a_writeable_array(source):
+    arr = {"2-d": np.array([[0.2, 0.7], [1.0, 0.0]]),
+           "1-d": np.array([0.2, 0.7]),
+           "view": np.array([[0.2, 0.7, 0.4], [1.0, 0.0, 0.3]])[:, :2],
+           "kernel output": compose(MaxMin(), [[0.2, 0.7]], identity(2)).cells}[source]
+    R = Relation(arr)
+    before = R.cells.copy()
+    if arr.flags.writeable:
+        arr[0, ...] = 0.9
+    assert np.array_equal(R.cells, before) and not R.cells.flags.writeable
+
+
 @given(grids())
 @settings(max_examples=50, deadline=None)
 def test_csv_json_roundtrip(grid):
