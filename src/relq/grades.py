@@ -73,6 +73,16 @@ def check_grades(values, name="grades"):
     return min(1.0, max(0.0, float(values))) if scalar else np.clip(values, 0.0, 1.0)
 
 
+def as_grades(values, size=None, name="grades", of="entries"):
+    """values as a flat float vector (a row or a column reads as a vector)
+    checked and clamped by check_grades.  With a size, the vector must have
+    that many entries: ValueError "<name> has <n> entries for <size> <of>"."""
+    vec = np.asarray(values, dtype=float).ravel()
+    if size is not None and vec.size != size:
+        raise ValueError(f"{name} has {vec.size} entries for {size} {of}")
+    return check_grades(vec, name)
+
+
 def _bisect(low, shape=()):
     """60 halvings of [0, 1] in every cell of ``shape`` at once, each toward
     the point where the monotone predicate low(x) stops holding; returns the
@@ -232,23 +242,23 @@ class GeneratorTNorm(TNorm):
     (0, f(0)): one that gives bit for bit what it gives per Python float is
     then called once per array; one that raises, gives another shape or
     other bits is called one Python float at a time, so ``math.log`` works.
-    Neither is called at 0:
-    there the t-norm uses ``f_zero``, which defaults to f(0.0) taken once
-    here (inf when that raises).
+    Neither is called at 0: there the t-norm uses ``f_zero``, f(0.0) taken
+    once here with numpy's divide and invalid warnings off (inf when it
+    raises).
     """
 
     name = "generator"
     archimedean = True
 
-    def __init__(self, f, f_inv=None, f_zero=None, name=None):
+    def __init__(self, f, f_inv=None, name=None):
         self.f = f
         if name:
             self.name = name
-        if f_zero is None:
-            try:
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
                 f_zero = f(0.0)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                f_zero = math.inf
+        except (ValueError, ZeroDivisionError, OverflowError):
+            f_zero = math.inf
         self.f_zero = f_zero
         probe = np.array(_PROBE)
         self._f = _array_form(f, probe)
@@ -419,9 +429,8 @@ def equality_index(f, b):
 
 def subsethood(t: TNorm, A, B):
     """inf_x w_t(A(x), B(x)) — graded inclusion of A in B."""
-    if len(A) != len(B):
-        raise ValueError(f"length mismatch: {len(A)} vs {len(B)}")
-    A, B = np.asarray(A, float), np.asarray(B, float)
+    A = as_grades(A, name="A")
+    B = as_grades(B, A.size, "B", "grades of A")
     return float(np.min(t.apply_residuum(A, B), initial=1.0))
 
 

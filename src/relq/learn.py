@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grades import MIN, REPAIR_TOL, STOP_TOL, TOL, TNorm, check_grades, godel
-from .relations import SupT, compose, inf_implication_compose, sup_t_compose
+from .grades import MIN, REPAIR_TOL, STOP_TOL, TOL, TNorm, as_grades, godel
+from .relations import SupT, as_grid, compose, inf_implication_compose, sup_t_compose
 
 
 @dataclass(frozen=True)
@@ -21,12 +21,10 @@ class TrainingSet:
     targets: np.ndarray
 
     def __post_init__(self):
-        inputs = np.atleast_2d(np.asarray(self.inputs, float))
-        targets = np.atleast_2d(np.asarray(self.targets, float))
-        if inputs.shape[0] != targets.shape[0]:
+        object.__setattr__(self, "inputs", as_grid(self.inputs, "inputs"))
+        object.__setattr__(self, "targets", as_grid(self.targets, "targets"))
+        if self.inputs.shape[0] != self.targets.shape[0]:
             raise ValueError("inputs and targets must have the same number of rows")
-        object.__setattr__(self, "inputs", check_grades(inputs, "inputs"))
-        object.__setattr__(self, "targets", check_grades(targets, "targets"))
 
     @property
     def p(self):
@@ -51,6 +49,8 @@ class TrainerConfig:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon!r}")
 
 
 @dataclass
@@ -199,8 +199,6 @@ def smooth_derivative_train(ts: TrainingSet, cfg: TrainerConfig | None = None) -
 
 def equality_error(F, B):
     """Hamming distance Σ |F_i − B_i| (sum of equality-index complements)."""
-    F = np.asarray(F, float).ravel()
-    B = np.asarray(B, float).ravel()
-    if F.shape != B.shape:
-        raise ValueError("length mismatch")
+    F = as_grades(F, name="F")
+    B = as_grades(B, F.size, "B", "grades of F")
     return float(np.sum(np.abs(F - B)))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grades import CLOSE_ATOL, CLOSE_RTOL, MIN, OBJECTIVE_SLACK, STOP_TOL, TOL, ZERO_DIST2
+from .grades import (CLOSE_ATOL, CLOSE_RTOL, MIN, OBJECTIVE_SLACK, STOP_TOL, TOL, ZERO_DIST2,
+                     as_grades)
 from .relations import MaxMin, as_grid, sup_t_compose
 from .solve import FreProblem, binding_columns, cover_search
 
@@ -77,8 +78,8 @@ def optimize_linear(p: LinearFreProblem):
 
 def pseudo_char_matrix(A, b):
     """Sign pattern of A against b: 1 / 0 / -1 per cell."""
-    A = as_grid(A)
-    b = np.asarray(b, float).ravel()
+    A = as_grid(A, "A")
+    b = as_grades(b, A.shape[1], "b", "columns of A")
     out = np.zeros(A.shape, dtype=int)
     out[A > b[None, :] + TOL] = 1
     out[A < b[None, :] - TOL] = -1
@@ -89,8 +90,8 @@ def equivalence_reduce(A, b):
     """Zero the unusable high cells: if b_j1 > b_j2, a_ij1 >= b_j1 and
     a_ij2 > b_j2 then row i can never serve constraint j1, so a_ij1 is
     equivalently 0.  Solution set is preserved (max-min)."""
-    A = as_grid(A).copy()
-    b = np.asarray(b, float).ravel()
+    A = as_grid(A, "A").copy()
+    b = as_grades(b, A.shape[1], "b", "columns of A")
     # zeroing a cell never removes the smallest-b witness of its row, so
     # one pass against that witness gives the fixed point
     low = np.where(A > b + TOL, b, np.inf).min(axis=1, initial=np.inf, keepdims=True)
@@ -112,6 +113,10 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name, low in (("population_size", 1), ("generations", 0)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {n!r}")
         if not 0.0 < self.selection_q < 1.0:
             raise ValueError("selection_q must lie in (0, 1)")
         for p in (self.mutation_prob, self.crossover_prob):
@@ -191,9 +196,8 @@ def _start(p: FreProblem, cfg: GaConfig):
 
 
 def _point(p: FreProblem, x):
-    """x as a one-row population, once ``FreProblem.lhs`` has checked it."""
-    p.lhs(x)
-    return np.asarray(x, float).reshape(1, -1)
+    """x, checked as grades of the m rows, as a one-row population."""
+    return as_grades(x, p.m, "x", "rows of A")[None]
 
 
 def ga_initialize(p: FreProblem, cfg: GaConfig):
@@ -314,9 +318,11 @@ class FcmResult:
 def fuzzy_c_means(points, C, m=2.0, tol=STOP_TOL, max_iter=300, rng_seed=0):
     """Alternating optimization of the fuzzy c-partition objective."""
     X = np.asarray(points, float)
+    if X.ndim != 2 or not np.isfinite(X).all():
+        raise ValueError("points must be a 2-d array of finite numbers")
     P = X.shape[0]
-    if C > P:
-        raise ValueError("more clusters than points")
+    if not 1 <= C <= P:
+        raise ValueError(f"C must lie between 1 and the number of points, {P}; got {C!r}")
     if m <= 1.0:
         raise ValueError("fuzzifier m must exceed 1")
     rng = np.random.default_rng(rng_seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grades import MIN, TOL, godel
+from .grades import MIN, TOL, as_grades, godel
 from .relations import (MaxMin, Relation, as_grid, compose, inf_implication_compose,
                         sup_t_compose)
 
@@ -171,9 +171,9 @@ def diagnose_joint(k: DiagnosisKnowledge, candidate_subsets, additive=True,
 def explain_at_least_k(R, Mplus, kk, imp=godel):
     """Per-disorder degree that at least k present manifestations are
     implied: the k-th largest implication degree (permutation-free)."""
-    grid = as_grid(R)
-    Mplus = np.asarray(Mplus, float).ravel()
+    grid = as_grid(R, "R")
     nd, nm = grid.shape
+    Mplus = as_grades(Mplus, nm, "Mplus", "manifestations (columns of R)")
     if kk > nm:
         raise ValueError("k exceeds the number of manifestations")
     if kk == 0:
@@ -193,17 +193,14 @@ def mamdani_control(rules, x_input, method="simple"):
     adjoint-godel: union the Cartesian rules and apply the inf-Goedel
     division.  For one-hot inputs adjoint-godel coincides with simple.
     """
-    x_input = np.asarray(x_input, float).ravel()
-    rules = [(np.asarray(X, float).ravel(), np.asarray(U, float).ravel()) for X, U in rules]
+    x_input = as_grades(x_input, name="x_input")
+    rules = list(rules)
     if not rules:
         raise ValueError("empty rule base")
-    nx = x_input.shape[0]
-    nu = rules[0][1].shape[0]
-    for X, U in rules:
-        if X.shape[0] != nx or U.shape[0] != nu:
-            raise ValueError("universe mismatch between input and rules")
-    Xs = np.array([X for X, _ in rules])
-    Us = np.array([U for _, U in rules])
+    nu = np.size(rules[0][1])
+    Xs = np.array([as_grades(X, x_input.size, "antecedent", "input grades") for X, _ in rules])
+    Us = np.array([as_grades(U, nu, "consequent", "grades of the first consequent")
+                   for _, U in rules])
     if method == "simple":
         possibility = sup_t_compose(MIN, Xs, x_input[:, None])[:, 0]
         return sup_t_compose(MIN, possibility[None, :], Us)[0]
@@ -219,7 +216,7 @@ def mamdani_control(rules, x_input, method="simple"):
 def defuzzify_cog(universe, U):
     """Centre of gravity Σ u·U(u) / Σ U(u)."""
     universe = np.asarray(universe, float).ravel()
-    U = np.asarray(U, float).ravel()
+    U = as_grades(U, universe.size, "U", "points of the universe")
     total = float(np.sum(U))
     if total <= TOL:
         raise ValueError("empty control output")

@@ -37,8 +37,6 @@ class Relation:
 
     def __init__(self, cells):
         arr = as_grid(cells)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"relation must be a 2-d grid, got shape {arr.shape}")
         # as_grid may return the caller's array or a view of it: freeze a copy
         _seal(self, arr.copy() if arr is cells or arr.base is not None else arr)
 
@@ -112,11 +110,12 @@ def _relation_of(arr):
     return _seal(object.__new__(Relation), check_grades(arr, "relation cells"))
 
 
-def as_grid(R):
-    """The cells of a Relation, or a raw grid (rows of unequal length are
-    rejected by number, a 1-d grid is one row) checked and clamped by
+def as_grid(R, name="relation cells"):
+    """The cells of a Relation, or a raw grid checked and clamped by
     check_grades, as a float array: a float array comes back as itself, or
-    as a view of it, unless a cell had to be clamped."""
+    as a view of it, unless a cell had to be clamped.  A grid is 2-d with at
+    least one row and one column (a 1-d grid is one row); rows of unequal
+    length are rejected by number.  Messages name the grid ``name``."""
     if isinstance(R, Relation):
         return R.cells
     try:
@@ -127,11 +126,13 @@ def as_grid(R):
         if not bad:
             raise
         more = " and more" if len(bad) > 5 else ""
-        raise ValueError(f"ragged grid: row 0 has length {sizes[0]} but "
+        raise ValueError(f"{name} is a ragged grid: row 0 has length {sizes[0]} but "
                          f"{', '.join(bad[:5])}{more}") from None
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    return check_grades(arr, "relation cells")
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(f"{name} must be a 2-d grid of at least 1x1, got shape {arr.shape}")
+    return check_grades(arr, name)
 
 
 def identity(n):

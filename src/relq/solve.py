@@ -22,8 +22,7 @@ from itertools import count
 
 import numpy as np
 
-from .grades import (FIT_SLACK, IMAGE_TIE, STOP_TOL, SUPPORT_DIGITS, TOL, TNorm, check_grades,
-                     godel)
+from .grades import FIT_SLACK, IMAGE_TIE, STOP_TOL, SUPPORT_DIGITS, TOL, TNorm, as_grades, godel
 from .relations import (
     CHUNK_CELLS, MaxMin, MaxProduct, SupT, Relation, as_grid, compose, inf_implication_compose,
     sup_t_compose,
@@ -32,17 +31,17 @@ from .relations import (
 DEFAULT_CAP = 10 ** 6
 
 
-def combinatorial_cap():
-    """Default cap on enumerated binding combinations (env RELQ_CAP overrides)."""
-    env = os.environ.get("RELQ_CAP")
-    if not env:
-        return DEFAULT_CAP
+def combinatorial_cap(cap=None):
+    """The cap on enumerated binding combinations: cap when given, else env
+    RELQ_CAP, else DEFAULT_CAP; either must be a positive integer."""
+    name, given = ("cap", cap) if cap is not None else (
+        "RELQ_CAP", os.environ.get("RELQ_CAP") or DEFAULT_CAP)
     try:
-        cap = int(env)
+        cap = int(given) if cap is None else cap
     except ValueError:
         cap = 0
-    if cap < 1:
-        raise ValueError(f"RELQ_CAP must be a positive integer, got {env!r}")
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+        raise ValueError(f"{name} must be a positive integer, got {given!r}")
     return cap
 
 
@@ -67,11 +66,8 @@ class FreProblem:
     composition: object = field(default_factory=MaxMin)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_grid(self.A))
-        b = np.asarray(self.b, dtype=float).ravel()
-        if self.A.shape[1] != b.shape[0]:
-            raise ValueError(f"A has {self.A.shape[1]} columns but b has {b.shape[0]} entries")
-        object.__setattr__(self, "b", check_grades(b, "b"))
+        object.__setattr__(self, "A", as_grid(self.A, "A"))
+        object.__setattr__(self, "b", as_grades(self.b, self.n, "b", "columns of A"))
 
     @property
     def m(self):
@@ -91,10 +87,7 @@ class FreProblem:
 
     def lhs(self, x):
         """x ∘ A for x of m grades, clipped to [0, 1] as a Relation's cells are."""
-        x = np.asarray(x, float).ravel()
-        if x.size != self.m:
-            raise ValueError(f"dimension mismatch: x has {x.size} entries for {self.m} rows")
-        x = check_grades(x, "x")
+        x = as_grades(x, self.m, "x", "rows of A")
         return np.clip(sup_t_compose(self.tnorm(), x[None, :], self.A)[0], 0.0, 1.0)
 
     def is_solution(self, x):
@@ -111,9 +104,9 @@ class SolutionSet:
 
     def contains(self, x):
         """Membership via the interval characterization ∪ [minimal, x_hat]."""
+        x = as_grades(x, None if self.x_hat is None else self.x_hat.size, "x", "rows of A")
         if not self.feasible:
             return False
-        x = np.asarray(x, float)
         if np.any(x > self.x_hat + TOL):
             return False
         lows = np.reshape(self.minimals, (len(self.minimals), x.size))
@@ -140,6 +133,7 @@ def attains(p: FreProblem, x):
 
 def binding_sets(p: FreProblem, x_hat):
     """I_j = rows that attain constraint j at equality under x_hat."""
+    x_hat = as_grades(x_hat, p.m, "x_hat", "rows of A")
     return [np.flatnonzero(col).tolist() for col in attains(p, x_hat).T]
 
 
@@ -221,7 +215,7 @@ def _cover_minimals(p: FreProblem, cap, message, lambda_bound=False) -> Solution
     cells at a time and the survivors swept.  The cap counts the leaves;
     with ``lambda_bound`` the bound ∏|I_j| is refused before the search.
     ``message`` formats the CapExceeded text with the cap."""
-    cap = combinatorial_cap() if cap is None else cap
+    cap = combinatorial_cap(cap)
     x_hat, sets, V = binding_columns(p)
     if lambda_bound and math.prod(max(len(s), 1) for s in sets) > cap:
         raise CapExceeded(message.format(cap))
@@ -299,12 +293,8 @@ def gavalec_certificate(A, b) -> GavalecCertificate:
     additionally, every column with x̄_j > 0 owns a row coverable only
     through that column's I_j.
     """
-    A = as_grid(A)
-    b = np.asarray(b, float).ravel()
-    if b.shape[0] != A.shape[0]:
-        raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
-    b = check_grades(b, "b")
-    bi = b[:, None]
+    A = as_grid(A, "A")
+    bi = as_grades(b, A.shape[0], "b", "rows of A")[:, None]
     # pass 1: x̄_j = min(1, min b over M_j)
     x_bar = np.where(A > bi + TOL, bi, np.inf).min(axis=0, initial=1.0)
     # pass 2: the I and K masks
@@ -394,20 +384,22 @@ def irreflexivity_condition(R, T):
 
 def kagei_type1(pairs, size, caps=None):
     """Largest weight vector R with max_x(p(x) ∧ R(x)) = p(x*) ∧ R(x*)
-    for every pair; closed-form cell-wise meet of per-pair solutions."""
-    R = np.ones(size)
+    for every pair (patterns and caps read up to ``size``): the Sanchez
+    greatest solution min_k godel(p_k, t_k), t_k = p_k(x*_k) capped at
+    caps(x*_k), then capped; all ones when there are no pairs."""
+    P, stars = [], []
     for p_vec, x_star in pairs:
-        p_vec = np.asarray(p_vec, float)[:size]
+        P.append(as_grades(np.ravel(p_vec)[:size], size, "pattern", "entries of R"))
         if not 0 <= x_star < size:
             raise ValueError(f"selected index {x_star} out of range")
-        target = p_vec[x_star]
-        if caps is not None:
-            target = min(target, caps[x_star])
-        val = godel(p_vec, target)
-        if caps is not None:
-            val = np.minimum(val, np.asarray(caps, float)[:size])
-        R = np.minimum(R, val)
-    return R
+        stars.append(x_star)
+    caps = np.ones(size) if caps is None else as_grades(np.ravel(caps)[:size], size, "caps",
+                                                        "entries of R")
+    if not P:
+        return np.ones(size)
+    P = np.array(P)
+    targets = np.minimum(P[np.arange(len(P)), stars], caps[stars])
+    return np.minimum(inf_implication_compose(godel, P.T, targets[:, None])[:, 0], caps)
 
 
 def kagei_type2_unique(pairs, xdim, ydim, slack=STOP_TOL, max_sweeps=1000):
@@ -444,16 +436,14 @@ def specificity_shift_fit(data, t: TNorm, alpha_grid, beta_grid):
     always scored so the result never regresses below the plain fit."""
     if not data:
         raise ValueError("empty data")
-    X = np.array([np.asarray(x, float) for x, _ in data])
-    Y = np.array([np.asarray(y, float) for _, y in data])
+    X = as_grid([np.ravel(x) for x, _ in data], "x")
+    Y = as_grid([np.ravel(y) for _, y in data], "y")
     alphas = sorted({0.0} | {float(a) for a in alpha_grid})
     betas = sorted({1.0} | {float(b) for b in beta_grid})
-    for a in alphas:
-        if not 0.0 <= a < 1.0:
-            raise ValueError("alpha values must lie in [0, 1)")
-    for b in betas:
-        if not 0.0 < b <= 1.0:
-            raise ValueError("beta values must lie in (0, 1]")
+    if not all(0.0 <= a < 1.0 for a in alphas):
+        raise ValueError("alpha values must lie in [0, 1)")
+    if not all(0.0 < b <= 1.0 for b in betas):
+        raise ValueError("beta values must lie in (0, 1]")
     best = None
     for alpha in alphas:
         phi = np.maximum(0.0, (X - alpha) / (1.0 - alpha))

@@ -155,7 +155,8 @@ def generator_cells(f, f_inv, a, b):
     f), its residuum and its min_section_solution in every cell of a and b,
     one Python float at a time."""
     try:
-        f_zero = f(0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f_zero = f(0.0)
     except (ValueError, ZeroDivisionError, OverflowError):
         f_zero = math.inf
 

@@ -1,0 +1,125 @@
+"""Every public entry point that takes grades rejects a bad grid or vector
+with a ValueError that names the argument: NaN, a grade above 1, a 3-d or
+empty grid, a vector of the wrong length.  Algorithm parameters and the
+enumeration cap are checked where they enter."""
+
+import re
+
+import numpy as np
+import pytest
+
+from relq.grades import MIN, subsethood
+from relq.learn import TrainerConfig, TrainingSet, equality_error
+from relq.optimize import GaConfig, equivalence_reduce, fuzzy_c_means, pseudo_char_matrix
+from relq.products import defuzzify_cog, explain_at_least_k, mamdani_control
+from relq.relations import Relation
+from relq.solve import (FreProblem, binding_sets, gavalec_certificate, kagei_type1, solve,
+                        specificity_shift_fit)
+
+P = FreProblem([[0.5, 0.3], [0.7, 0.3]], [0.5, 0.3])
+A12 = [[0.5, 0.3]]
+HALVES = [0.5, 0.5]
+
+# entry point: (the call with one grid argument g, that argument's name)
+GRIDS = {
+    "Relation": (lambda g: Relation(g), "relation cells"),
+    "FreProblem.A": (lambda g: FreProblem(g, [0.5]), "A"),
+    "TrainingSet.inputs": (lambda g: TrainingSet(g, [[0.5]]), "inputs"),
+    "TrainingSet.targets": (lambda g: TrainingSet([[0.5]], g), "targets"),
+    "gavalec_certificate.A": (lambda g: gavalec_certificate(g, [0.5]), "A"),
+    "pseudo_char_matrix.A": (lambda g: pseudo_char_matrix(g, [0.5]), "A"),
+    "equivalence_reduce.A": (lambda g: equivalence_reduce(g, [0.5]), "A"),
+    "explain_at_least_k.R": (lambda g: explain_at_least_k(g, [0.5], 1), "R"),
+}
+BAD_GRIDS = {
+    "nan": ([[np.nan]], "must be finite and lie in"),
+    "1.5": ([[1.5]], "must be finite and lie in"),
+    "3-d": (np.full((2, 1, 1), 0.5), "must be a 2-d grid"),
+    "empty": (np.zeros((0, 1)), "must be a 2-d grid"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_GRIDS))
+@pytest.mark.parametrize("entry", sorted(GRIDS))
+def test_grid_arguments_are_checked(entry, bad):
+    call, name = GRIDS[entry]
+    grid, message = BAD_GRIDS[bad]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} {message}"):
+        call(grid)
+
+
+# entry point: (the call with one vector argument v, that argument's name, the
+# length it must have, or None where nothing fixes it)
+VECTORS = {
+    "FreProblem.b": (lambda v: FreProblem(A12, v), "b", 2),
+    "FreProblem.lhs": (lambda v: P.lhs(v), "x", 2),
+    "SolutionSet.contains": (lambda v: solve(P).contains(v), "x", 2),
+    "binding_sets": (lambda v: binding_sets(P, v), "x_hat", 2),
+    "gavalec_certificate.b": (lambda v: gavalec_certificate(P.A, v), "b", 2),
+    "subsethood.A": (lambda v: subsethood(MIN, v, HALVES), "A", None),
+    "subsethood.B": (lambda v: subsethood(MIN, HALVES, v), "B", 2),
+    "equality_error.F": (lambda v: equality_error(v, HALVES), "F", None),
+    "equality_error.B": (lambda v: equality_error(HALVES, v), "B", 2),
+    "mamdani_control.x_input": (lambda v: mamdani_control([(HALVES, [0.5])], v), "x_input",
+                                None),
+    "mamdani_control.antecedent": (lambda v: mamdani_control([(v, [0.5])], HALVES),
+                                   "antecedent", 2),
+    "mamdani_control.consequent": (lambda v: mamdani_control(
+        [(HALVES, HALVES), (HALVES, v)], HALVES), "consequent", 2),
+    "pseudo_char_matrix.b": (lambda v: pseudo_char_matrix(A12, v), "b", 2),
+    "equivalence_reduce.b": (lambda v: equivalence_reduce(A12, v), "b", 2),
+    "explain_at_least_k.Mplus": (lambda v: explain_at_least_k(A12, v, 1), "Mplus", 2),
+    "defuzzify_cog.U": (lambda v: defuzzify_cog([0.0, 1.0], v), "U", 2),
+    "kagei_type1.pattern": (lambda v: kagei_type1([(v, 0)], 2), "pattern", 2),
+    "kagei_type1.caps": (lambda v: kagei_type1([(HALVES, 0)], 2, v), "caps", 2),
+    "specificity_shift_fit.x": (lambda v: specificity_shift_fit(
+        [(HALVES, [0.5]), (v, [0.5])], MIN, [], []), "x", 2),
+    "specificity_shift_fit.y": (lambda v: specificity_shift_fit(
+        [([0.5], HALVES), ([0.5], v)], MIN, [], []), "y", 2),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in sorted(VECTORS)
+    for bad in ("nan", "1.5", "length")[:3 if VECTORS[entry][2] else 2]])
+def test_vector_arguments_are_checked(entry, bad):
+    call, name, size = VECTORS[entry]
+    if bad == "length":
+        # one entry short: kagei_type1 reads a longer pattern up to its size
+        vec, message = [0.5] * (size - 1), "(has 1 entries for 2 |is a ragged grid)"
+    else:
+        vec, message = [float(bad), 0.5], "must be finite and lie in"
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} {message}"):
+        call(vec)
+
+
+def test_a_row_or_a_column_reads_as_a_vector():
+    for b in ([[0.5, 0.3]], [[0.5], [0.3]], np.array([0.5, 0.3])):
+        assert FreProblem(P.A, b).b.tolist() == [0.5, 0.3]
+        assert P.lhs(b).tolist() == [0.5, 0.3]
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True])
+def test_an_explicit_cap_must_be_a_positive_integer(cap):
+    with pytest.raises(ValueError, match=f"^cap must be a positive integer, got {cap!r}$"):
+        solve(P, "pattern", cap=cap)
+    # P's search has two leaves, both minimal
+    assert len(solve(P, "pattern", cap=2).minimals) == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GaConfig(population_size=0), "population_size must be an integer of at least 1"),
+    (lambda: GaConfig(population_size=2.0), "population_size must be an integer"),
+    (lambda: GaConfig(generations=-1), "generations must be an integer of at least 0"),
+    (lambda: fuzzy_c_means([[0.0], [1.0]], 0), "C must lie between 1 and the number of points"),
+    (lambda: fuzzy_c_means([[0.0], [1.0]], 3), "C must lie between 1 and the number of points"),
+    (lambda: fuzzy_c_means([[0.0], [np.nan]], 1), "points must be a 2-d array of finite"),
+    (lambda: fuzzy_c_means([0.0, 1.0], 1), "points must be a 2-d array of finite"),
+    (lambda: TrainerConfig(epsilon=-1.0), "epsilon must be finite and non-negative"),
+    (lambda: TrainerConfig(epsilon=np.nan), "epsilon must be finite and non-negative"),
+], ids=["ga-population-0", "ga-population-float", "ga-generations-negative", "fcm-C-0",
+        "fcm-C-above-points", "fcm-nan-point", "fcm-1-d-points", "trainer-epsilon-negative",
+        "trainer-epsilon-nan"])
+def test_algorithm_parameters_are_checked_where_they_enter(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -213,6 +213,8 @@ KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["
     (["solve", "--cap", "5"], GOOD, "abc", 0, '"feasible": true', ""),
     (["solve"], {"A": [[0.5] * 3] * 3, "b": [0.5] * 3}, "27", 0, '"feasible": true', ""),
     (["solve"], {"A": [[0.5] * 3] * 3, "b": [0.5] * 3}, "26", 1, "", "exceed cap 26"),
+    # --cap is checked as RELQ_CAP is
+    (["solve", "--cap", "0"], GOOD, None, 1, "", "cap must be a positive integer, got 0"),
     # a ragged A is named as such
     (["solve"], {"A": [[0.5, 0.3], [0.7]], "b": [0.5, 0.3]}, None,
      1, "", "ragged grid: row 0 has length 2 but row 1 has length 1"),
@@ -231,7 +233,7 @@ KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["
 ], ids=["solve-nan-in-A", "solve-A-above-1", "optimize-inf-in-b", "optimize-nan-cost",
         "optimize-inf-cost", "optimize-drastic",
         "optimize-infeasible", "solve-bad-env-cap", "solve-flag-cap-wins",
-        "solve-env-cap-fits", "solve-env-cap-exceeded", "solve-ragged-A", "no-seed-option",
+        "solve-env-cap-fits", "solve-env-cap-exceeded", "solve-flag-cap-0", "solve-ragged-A", "no-seed-option",
         "no-demo-mode-option", "no-solve-tol-option", "no-optimize-cap-option",
         "learn-ok", "no-learn-comp-option", "diagnose-ok", "no-diagnose-comp-option",
         "no-diagnose-round-option", "no-demo-comp-option"])
