@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grades import PRODUCT, STOP_TOL, TOL
+from .grades import PRODUCT, STOP_TOL, TOL, as_grades
 from .neutro import NeutroRelation
 from .relations import Relation, sup_t_compose
 
@@ -90,11 +90,14 @@ class PartitionedSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "q", np.asarray(self.q, float))
-        object.__setattr__(self, "r", np.asarray(self.r, float))
+        object.__setattr__(self, "q", as_grades(self.q, None, "q"))
+        object.__setattr__(self, "r", as_grades(self.r, self.q.size, "r", "entries of q"))
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
         seen = set()
-        for blk in self.blocks:
+        for k, blk in enumerate(self.blocks):
+            if not all(0 <= i < self.q.size for i in blk):
+                raise ValueError(f"block {k} {blk} has an index outside the series "
+                                 f"of {self.q.size} points")
             if seen & set(blk):
                 raise ValueError("blocks must be pairwise disjoint")
             seen |= set(blk)

@@ -7,10 +7,12 @@ cost found.
 Nonlinear objectives run through a feasibility-preserving genetic
 algorithm that breeds a whole generation as one (k, m) array: its parents
 drawn by rank with one ``searchsorted``, every crossover and mutation draw
-made for all rows at once, and one sup-t composition to find the children
-that need repair.
-Multi-objective search keeps a Pareto archive, checking each new point
-against all archived ones in one array pass; fuzzy c-means clusters it.
+made for all rows at once, and one repair of the whole generation after
+both, with one sup-t composition to find the children that need it.
+Multi-objective search keeps a Pareto archive that takes a generation at
+once: one array pass compares its points with the archive and with each
+other, and the adds are replayed in order over those booleans.  Fuzzy
+c-means clusters the archive.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .grades import (CLOSE_ATOL, CLOSE_RTOL, MIN, OBJECTIVE_SLACK, STOP_TOL, TOL, ZERO_DIST2,
                      as_grades)
-from .relations import MaxMin, as_grid, sup_t_compose
+from .relations import CHUNK_CELLS, MaxMin, as_grid, sup_t_compose
 from .solve import FreProblem, binding_columns, cover_search
 
 
@@ -126,10 +128,11 @@ class GaConfig:
 
 class _GaContext:
     """The GA operators on one max-min system.  Each takes a (k, m)
-    population array, makes its random draws for all rows at once and
-    returns rows that solve the system.  They share x_hat and the binding
-    sets I_j of the equivalence-reduced system (row i in I_j attains
-    constraint j at x_i = b_j)."""
+    population array and makes its random draws for all rows at once;
+    ``feasible`` repairs what crossover and mutation give into rows that
+    solve the system.  They share x_hat and the binding sets I_j of the
+    equivalence-reduced system (row i in I_j attains constraint j at
+    x_i = b_j)."""
 
     def __init__(self, p: FreProblem):
         if not isinstance(p.composition, MaxMin):
@@ -149,7 +152,8 @@ class _GaContext:
         """X with each row that does not solve the system (one composition
         checks them all) clamped into [0, x_hat] and repaired, in place:
         walking row r's constraints in order, each one no row attains gets a
-        random row of I_j raised to b_j, not avoid[r] when I_j has another."""
+        random row of I_j raised to b_j, not avoid[r] when I_j has another
+        (avoid[r] = -1 spares none)."""
         todo = np.flatnonzero(~(np.abs(sup_t_compose(MIN, X, self.A) - self.b)
                                 <= TOL).all(axis=1))
         X[todo] = np.clip(X[todo], 0.0, self.x_hat)
@@ -168,21 +172,23 @@ class _GaContext:
         return X
 
     def mutate(self, X, rng):
-        """Feasible mutation of each row: scale one coordinate that other rows
-        can cover by a random factor, then repair, sparing that coordinate."""
-        X, k = np.array(X, float), None
+        """Mutation of each row, unrepaired: one coordinate that other rows
+        can cover scaled by a random factor.  Returns the mutants and the
+        lowered coordinates (-1 where no row can be lowered), which the
+        repair should spare."""
+        X, k = np.array(X, float), np.full(len(X), -1)
         if self.decrease.size:
             k = self.decrease[rng.integers(self.decrease.size, size=len(X))]
             X[np.arange(len(X)), k] *= rng.random(len(X))
-        return self.feasible(X, rng, k)
+        return X, k
 
     def crossover(self, X1, X2, superpoint, rng):
         """Contraction of each X1 row toward the superpoint and extraction of
-        each X2 row away from its partner; first children, then second ones."""
+        each X2 row away from its partner, unrepaired; first children, then
+        second ones."""
         lam, gamma = rng.random((len(X1), 1)), 1.0 + rng.random((len(X1), 1))
-        return self.feasible(np.concatenate([
-            lam * X1 + (1.0 - lam) * superpoint,
-            np.clip(gamma * X2 - (gamma - 1.0) * X1, 0.0, 1.0)]), rng)
+        return np.concatenate([lam * X1 + (1.0 - lam) * superpoint,
+                               np.clip(gamma * X2 - (gamma - 1.0) * X1, 0.0, 1.0)])
 
 
 def _start(p: FreProblem, cfg: GaConfig):
@@ -206,13 +212,18 @@ def ga_initialize(p: FreProblem, cfg: GaConfig):
 
 
 def ga_mutate(x, p: FreProblem, rng):
-    """One feasible mutation of x (see ``_GaContext.mutate``)."""
-    return _GaContext(p).mutate(_point(p, x), rng)[0]
+    """One feasible mutation of x (see ``_GaContext.mutate``), repaired
+    sparing the lowered coordinate."""
+    ctx = _GaContext(p)
+    X, k = ctx.mutate(_point(p, x), rng)
+    return ctx.feasible(X, rng, k)[0]
 
 
 def ga_crossover(x1, x2, superpoint, rng, p: FreProblem):
     """Two feasible children of x1 and x2 (see ``_GaContext.crossover``)."""
-    return tuple(_GaContext(p).crossover(*(_point(p, v) for v in (x1, x2, superpoint)), rng))
+    ctx = _GaContext(p)
+    kids = ctx.crossover(*(_point(p, v) for v in (x1, x2, superpoint)), rng)
+    return tuple(ctx.feasible(kids, rng))
 
 
 def _rank_probabilities(n, q):
@@ -228,16 +239,18 @@ def _parent_ranks(n, q, size, rng):
 
 
 def _breed(X, order, count, ctx: _GaContext, cfg: GaConfig, rng):
-    """count children of parents drawn by rank (order lists X best first):
-    crossover, then mutation, each with its configured probability."""
+    """count feasible children of parents drawn by rank (order lists X best
+    first): crossover, then mutation, each with its configured probability,
+    then one repair of them all that spares each mutant's lowered row."""
     pairs = (count + 1) // 2
     kids = X[order[_parent_ranks(len(X), cfg.selection_q, 2 * pairs, rng)]]
     cross = rng.random(pairs) < cfg.crossover_prob
     kids[np.tile(cross, 2)] = ctx.crossover(kids[:pairs][cross], kids[pairs:][cross],
                                             ctx.x_hat, rng)
     mut = rng.random(2 * pairs) < cfg.mutation_prob
-    kids[mut] = ctx.mutate(kids[mut], rng)
-    return kids[:count]
+    avoid = np.full(2 * pairs, -1)
+    kids[mut], avoid[mut] = ctx.mutate(kids[mut], rng)
+    return ctx.feasible(kids[:count], rng, avoid[:count])
 
 
 def optimize_nonlinear_ga(p: FreProblem, f, cfg: GaConfig | None = None):
@@ -266,25 +279,54 @@ def dominates(z1, z2):
 
 
 class ParetoArchive:
-    """Mutually non-dominated (x, z) pairs in ``points``, in archiving order."""
+    """Mutually non-dominated (x, z) pairs in ``points``, in archiving order.
+
+    A point is archived unless an archived point dominates it or is close to
+    it (|z_u - z| <= CLOSE_ATOL + CLOSE_RTOL·|z| in every objective, the band
+    scaled by the point being added); archiving it drops the points it
+    dominates.  ``extend`` takes a whole batch: one array pass finds every
+    dominance and closeness between the batch and the archive and within the
+    batch (a batch too large for about CHUNK_CELLS cells goes in slices), and
+    the adds are then replayed in order over those booleans, so the result
+    is that of adding the rows one at a time."""
 
     def __init__(self):
         self.points = []
         self._zs = np.empty((0, 0))
 
     def add(self, x, z):
-        """Archive (x, z) unless a point dominates or is close to z; drop the
-        points z dominates.  True when archived."""
-        z = np.array(z, float)
-        zs = self._zs.reshape(-1, z.size)
-        # np.isclose(zs, z)'s band, written out (the same test for finite z)
-        close = (np.abs(zs - z) <= CLOSE_ATOL + CLOSE_RTOL * np.abs(z)).all(axis=-1)
-        if (dominates(zs, z) | close).any():
-            return False
-        keep = ~dominates(z, zs)
-        self.points = [pt for pt, k in zip(self.points, keep) if k] + [(np.array(x, float), z)]
-        self._zs = np.vstack([zs[keep], z])
-        return True
+        """Archive (x, z) as above.  True when archived."""
+        return self.extend([x], [z])[0]
+
+    def extend(self, X, Z):
+        """Archive the rows (x, z) of X and Z in order, as ``add`` would one
+        at a time; a list of the bools ``add`` would return."""
+        X, Z = np.array(X, float), np.array(Z, float)
+        if len(X) != len(Z):
+            raise ValueError(f"{len(X)} points for {len(Z)} objective vectors")
+        Z = Z.reshape(len(Z), Z.size // max(len(Z), 1))
+        # slices whose comparisons with the archive hold about CHUNK_CELLS cells
+        step = max(1, CHUNK_CELLS // max((len(self.points) + len(Z)) * Z.shape[1], 1))
+        return [a for s in range(0, len(Z), step)
+                for a in self._extend(X[s:s + step], Z[s:s + step])]
+
+    def _extend(self, X, Z):
+        n = len(self.points)
+        zs = np.concatenate([self._zs.reshape(n, Z.shape[1]), Z])
+        # [u, k]: z_u lies in the band of the batch's z_k (np.isclose's test,
+        # written out; the same for finite z)
+        close = (np.abs(zs[:, None] - Z[None]) <= CLOSE_ATOL + CLOSE_RTOL * np.abs(Z)).all(axis=-1)
+        # [k][u]: z_u dominates or is close to z_k, and z_k dominates z_u
+        blocked = (dominates(zs[:, None], Z[None]) | close).T.tolist()
+        drops = dominates(Z[:, None], zs[None]).tolist()
+        live, added = list(range(n)), []
+        for k in range(len(Z)):
+            added.append(not any(blocked[k][u] for u in live))
+            if added[-1]:
+                live = [u for u in live if not drops[k][u]] + [n + k]
+        self.points = [self.points[u] if u < n else (X[u - n], Z[u - n]) for u in live]
+        self._zs = zs[live]
+        return added
 
 
 def optimize_multiobjective(p: FreProblem, fs, cfg: GaConfig | None = None):
@@ -298,8 +340,7 @@ def optimize_multiobjective(p: FreProblem, fs, cfg: GaConfig | None = None):
         if gen:
             X = _breed(X, np.argsort(Z @ rng.random(len(fs))), len(X), ctx, cfg, rng)
         Z = np.array([[float(g(x)) for g in fs] for x in X])
-        for x, z in zip(X, Z):
-            archive.add(x, z)
+        archive.extend(X, Z)
     return archive
 
 

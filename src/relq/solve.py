@@ -375,7 +375,9 @@ def irreflexivity_condition(R, T):
     """True when every diagonal cell is forced to 0 in any solution:
     for every x there is y with R[y,x] > 0 and T[y,x] = 0."""
     R, T = as_grid(R), as_grid(T)
-    return bool(((R > TOL) & (T[:len(R), :R.shape[1]] <= TOL)).any(axis=0).all())
+    if R.shape != T.shape:
+        raise ValueError(f"shape mismatch: {R.shape} vs {T.shape}")
+    return bool(((R > TOL) & (T <= TOL)).any(axis=0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +406,18 @@ def kagei_type1(pairs, size, caps=None):
 
 def kagei_type2_unique(pairs, xdim, ydim, slack=STOP_TOL, max_sweeps=1000):
     """Quasi-largest relation R(x,y) whose max-min image of each training
-    pattern peaks strictly at the selected output (strictness via slack)."""
-    pats, ys = np.array([p for p, _ in pairs], float), np.array([y for _, y in pairs])
+    pattern peaks strictly at the selected output (strictness via slack);
+    all ones when there are no pairs.  Patterns, read up to ``xdim``, are
+    the rows of one grid."""
+    if not pairs:
+        return np.ones((xdim, ydim))
+    pats = as_grid([np.ravel(p) for p, _ in pairs], "patterns")
+    ys = np.array([y for _, y in pairs])
+    if pats.shape[1] < xdim:
+        raise ValueError(f"patterns have {pats.shape[1]} entries for {xdim} inputs")
+    for y in ys:
+        if not 0 <= y < ydim:
+            raise ValueError(f"selected output {y} out of range for {ydim} outputs")
     same = np.all(np.abs(pats[:, None] - pats[None]) <= TOL, axis=-1)
     if np.any(same & (ys[:, None] != ys[None])):
         raise ValueError("contradictory pairs: identical pattern, different outputs")
@@ -469,11 +481,14 @@ def sre_solvability_criteria(premises, mode):
     its distinct support values; 'inf-rho': every premise needs at least one
     exclusive support point.  False means "criterion not met".
     """
-    premises = [np.asarray(a, float) for a in premises]
     if mode not in ("sup-t", "inf-rho"):
         raise ValueError(f"unknown mode {mode!r}")
+    premises = [np.ravel(a) for a in premises]
+    if not premises:
+        return True
+    premises = as_grid(premises, "premises")
     # a support point is exclusive when no other premise exceeds TOL there
-    shared = np.sum([~(a <= TOL) for a in premises], axis=0) > 1
+    shared = (premises > TOL).sum(axis=0) > 1
     for a in premises:
         support = a > TOL
         exclusive = support & ~shared

@@ -8,13 +8,15 @@ import re
 import numpy as np
 import pytest
 
+from relq.datasets import PartitionedSeries
 from relq.grades import MIN, subsethood
 from relq.learn import TrainerConfig, TrainingSet, equality_error
 from relq.optimize import GaConfig, equivalence_reduce, fuzzy_c_means, pseudo_char_matrix
 from relq.products import defuzzify_cog, explain_at_least_k, mamdani_control
 from relq.relations import Relation
-from relq.solve import (FreProblem, binding_sets, gavalec_certificate, kagei_type1, solve,
-                        specificity_shift_fit)
+from relq.solve import (FreProblem, binding_sets, gavalec_certificate, irreflexivity_condition,
+                        kagei_type1, kagei_type2_unique, solve, specificity_shift_fit,
+                        sre_solvability_criteria)
 
 P = FreProblem([[0.5, 0.3], [0.7, 0.3]], [0.5, 0.3])
 A12 = [[0.5, 0.3]]
@@ -72,6 +74,12 @@ VECTORS = {
     "defuzzify_cog.U": (lambda v: defuzzify_cog([0.0, 1.0], v), "U", 2),
     "kagei_type1.pattern": (lambda v: kagei_type1([(v, 0)], 2), "pattern", 2),
     "kagei_type1.caps": (lambda v: kagei_type1([(HALVES, 0)], 2, v), "caps", 2),
+    "kagei_type2_unique.patterns": (lambda v: kagei_type2_unique([(HALVES, 0), (v, 1)], 2, 2),
+                                    "patterns", 2),
+    "sre_solvability_criteria.premises": (lambda v: sre_solvability_criteria(
+        [HALVES, v], "sup-t"), "premises", 2),
+    "PartitionedSeries.q": (lambda v: PartitionedSeries((1, 2), v, HALVES, [(0,)]), "q", None),
+    "PartitionedSeries.r": (lambda v: PartitionedSeries((1, 2), HALVES, v, [(0,)]), "r", 2),
     "specificity_shift_fit.x": (lambda v: specificity_shift_fit(
         [(HALVES, [0.5]), (v, [0.5])], MIN, [], []), "x", 2),
     "specificity_shift_fit.y": (lambda v: specificity_shift_fit(
@@ -97,6 +105,20 @@ def test_a_row_or_a_column_reads_as_a_vector():
     for b in ([[0.5, 0.3]], [[0.5], [0.3]], np.array([0.5, 0.3])):
         assert FreProblem(P.A, b).b.tolist() == [0.5, 0.3]
         assert P.lhs(b).tolist() == [0.5, 0.3]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: irreflexivity_condition([[0.5]], [[0.0, 0.9], [0.3, 0.2]]),
+     r"^shape mismatch: \(1, 1\) vs \(2, 2\)$"),
+    (lambda: kagei_type2_unique([([0.5], 0)], 2, 2), "^patterns have 1 entries for 2 inputs$"),
+    (lambda: kagei_type2_unique([(HALVES, 0), (HALVES, 4)], 2, 2),
+     "^selected output 4 out of range for 2 outputs$"),
+    (lambda: PartitionedSeries((1, 2), HALVES, HALVES, [(0,), (1, 5)]),
+     r"^block 1 \(1, 5\) has an index outside the series of 2 points$"),
+], ids=["irreflexivity-shapes", "kagei2-short-patterns", "kagei2-output", "series-block"])
+def test_shapes_and_indices_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("cap", [0, -3, 2.5, True])

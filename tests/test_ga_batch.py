@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relq.optimize import (GaConfig, _parent_ranks, _rank_probabilities, dominates,
-                           ga_crossover, ga_initialize, ga_mutate, optimize_multiobjective,
-                           optimize_nonlinear_ga)
+from relq.optimize import (GaConfig, _breed, _parent_ranks, _rank_probabilities, _start,
+                           dominates, ga_crossover, ga_initialize, ga_mutate,
+                           optimize_multiobjective, optimize_nonlinear_ga)
 from relq.solve import FreProblem, max_solution, solve
 
 
@@ -70,6 +70,31 @@ def test_archive_holds_non_dominated_solutions(case):
         assert p.is_solution(x)
         assert z.tolist() == [float(c @ x), float(np.max(x, initial=0.0))]
     assert not dominates(zs[:, None], zs[None]).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ga_cases(), st.integers(1, 9))
+def test_breed_returns_solutions(case, count):
+    # crossover and mutation leave their children unrepaired; the one repair
+    # at the end of each generation must make every row a solution
+    p, _, cfg = case
+    ctx, rng, X = _start(p, cfg)
+    for _ in range(3):
+        X = _breed(X, np.arange(len(X)), count, ctx, cfg, rng)
+        assert X.shape == (count, p.m)
+        assert all(p.is_solution(x) for x in X)
+
+
+def test_breed_spares_each_mutants_lowered_row():
+    # as in test_mutation_raises_a_row_other_than_the_lowered_one, with every
+    # child a mutant of x repaired in one batch: none may come back as x
+    p = FreProblem([[0.5], [0.5], [0.5]], [0.5])
+    cfg = GaConfig(population_size=8, crossover_prob=0.0, mutation_prob=1.0)
+    ctx, rng = _start(p, cfg)[:2]
+    X = np.tile([0.5, 0.3, 0.3], (8, 1))
+    for _ in range(5):
+        kids = _breed(X, np.arange(8), 8, ctx, cfg, rng)
+        assert all(p.is_solution(y) and not np.array_equal(y, X[0]) for y in kids)
 
 
 def test_parent_ranks_follow_the_rank_probabilities():

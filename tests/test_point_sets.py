@@ -23,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+from relq import optimize
 from relq.grades import LUKASIEWICZ, TOL, GeneratorTNorm
 from relq.optimize import ParetoArchive, dominates, fuzzy_c_means
 from relq.relations import MaxMin, MaxProduct, SupT
@@ -184,20 +185,62 @@ def test_dominates_broadcasts_over_a_stack(seed):
     assert type(dominates(zs[0], zs[1])) is bool
 
 
-@pytest.mark.parametrize("tol", [1e-12, "isclose"])
-@pytest.mark.parametrize("seed", range(20))
-def test_archive_matches_loops(seed, tol):
+def archive_inputs(seed, tol):
+    """The seed's generator and 80 objective vectors on the grid (duplicates
+    common), nudged around the dominance slack or the np.isclose band."""
     rng = np.random.default_rng(seed)
     base = rng.choice(GRID, size=(80, 3))
     band = 1e-12 if tol == 1e-12 else 1e-8 + 1e-5 * np.abs(base)
-    zs = base + band * rng.choice(SCALES, size=base.shape)
+    return rng, base + band * rng.choice(SCALES, size=base.shape)
+
+
+def same_points(arch, points):
+    return same_arrays([a for pt in arch.points for a in pt], [a for pt in points for a in pt])
+
+
+@pytest.mark.parametrize("tol", [1e-12, "isclose"])
+@pytest.mark.parametrize("seed", range(20))
+def test_archive_matches_loops(seed, tol):
     arch, points = ParetoArchive(), []
-    for k, z in enumerate(zs):
+    for k, z in enumerate(archive_inputs(seed, tol)[1]):
         added, points = pareto_add_loops(points, [k], z)
         assert arch.add([k], z) is added
-        assert len(arch.points) == len(points)
-        for (x1, z1), (x2, z2) in zip(arch.points, points):
-            assert same_arrays([x1, z1], [x2, z2])
+        assert same_points(arch, points)
+
+
+@pytest.mark.parametrize("cells", [None, 200])
+@pytest.mark.parametrize("tol", [1e-12, "isclose"])
+@pytest.mark.parametrize("seed", range(20))
+def test_archive_extend_matches_loops(seed, tol, cells, monkeypatch):
+    # the points of test_archive_matches_loops, added in batches of 1 to 24
+    # from an empty archive: each batch in one array pass, or, with 200
+    # cells, in slices of a few rows
+    if cells:
+        monkeypatch.setattr(optimize, "CHUNK_CELLS", cells)
+    rng, zs = archive_inputs(seed, tol)
+    arch, points, start = ParetoArchive(), [], 0
+    while start < len(zs):
+        batch = range(start, min(start + int(rng.integers(1, 25)), len(zs)))
+        want = []
+        for k in batch:
+            added, points = pareto_add_loops(points, [k], zs[k])
+            want.append(added)
+        got = arch.extend([[k] for k in batch], zs[batch.start:batch.stop])
+        assert got == want and all(type(a) is bool for a in got)
+        assert same_points(arch, points)
+        start = batch.stop
+
+
+def test_archive_extend_drops_an_earlier_point_of_its_batch():
+    # the second point dominates the first, the third repeats the second and
+    # the fourth lies in its band; only the second stays
+    arch = ParetoArchive()
+    zs = [[0.5, 0.5], [0.2, 0.2], [0.2, 0.2], [0.2 + 1e-9, 0.2]]
+    assert arch.extend([[0], [1], [2], [3]], zs) == [True, True, False, False]
+    assert [x.tolist() for x, _ in arch.points] == [[1.0]]
+    assert arch.add([4], [0.1, 0.9]) is True and arch.add([5], [0.1, 0.95]) is False
+    assert [x.tolist() for x, _ in arch.points] == [[1.0], [4.0]]
+    assert arch.extend([], []) == [] and len(arch.points) == 2
 
 
 def test_archive_scales_the_close_band_by_the_new_point():
@@ -247,17 +290,19 @@ def test_lhs_checks_the_length_of_x():
 def test_premise_and_pattern_checks_match_loops(seed):
     rng = np.random.default_rng(seed)
     k, s = int(rng.integers(1, 5)), int(rng.integers(1, 6))
-    # sparse premises so that exclusive support points are common
-    prem = nudged(rng, (k, s), TOL) * (rng.random((k, s)) < 0.4)
+    # sparse premises so that exclusive support points are common; clipped
+    # like R, T and the patterns below, since a grade more than TOL outside
+    # [0, 1] is rejected
+    prem = np.clip(nudged(rng, (k, s), TOL) * (rng.random((k, s)) < 0.4), 0.0, 1.0)
     for mode in ("sup-t", "inf-rho"):
         assert sre_solvability_criteria(list(prem), mode) is sre_solvability_loops(prem, mode)
-    # clipped like pats below: a grade more than TOL outside [0, 1] is rejected
     R = np.clip(nudged(rng, (k, s), TOL) * (rng.random((k, s)) < 0.5), 0.0, 1.0)
     T = np.clip(nudged(rng, (k, s), TOL) * (rng.random((k, s)) < 0.5), 0.0, 1.0)
     assert irreflexivity_condition(R, T) is irreflexivity_loops(R, T)
     pats = np.clip(nudged(rng, (k + 2, 2), TOL) * (rng.random((k + 2, 2)) < 0.5), 0.0, 1.0)
     pairs = [(p, int(rng.integers(2))) for p in pats]
-    pairs += [(pairs[0][0] + TOL * rng.choice(SCALES, size=2), int(rng.integers(2)))]
+    pairs += [(np.clip(pairs[0][0] + TOL * rng.choice(SCALES, size=2), 0.0, 1.0),
+               int(rng.integers(2)))]
     if contradictory_pairs_loops(pairs):
         with pytest.raises(ValueError, match="contradictory pairs"):
             kagei_type2_unique(pairs, 2, 2)
