@@ -22,7 +22,7 @@ from .neutro import NeutroRelation, neutro_compose, neutro_format
 from .optimize import LinearFreProblem, optimize_linear
 from .products import (DiagnosisKnowledge, checklist_product, diagnose,
                        triangle_product_criteria, triangle_product_subjects)
-from .relations import Relation, alpha_cut, compose, composition_by_name
+from .relations import MaxMin, Relation, alpha_cut, compose, composition_by_name
 from .solve import FreProblem, InfeasibleError, gavalec_certificate, solve
 
 
@@ -156,7 +156,7 @@ def cmd_solve(args):
     else:
         payload["x_hat"] = None
         payload["minimals"] = []
-    if p.composition.__class__.__name__ == "MaxMin":
+    if isinstance(p.composition, MaxMin):
         cert = gavalec_certificate(p.A.T, p.b)
         payload["certificates"] = {
             "solvable": bool(cert.solvable), "unique": bool(cert.unique),
@@ -215,9 +215,6 @@ def cmd_learn(args):
         res = delta_rule_K(ts, t)
     elif args.rule == "smooth":
         res = smooth_derivative_train(ts, cfg)
-    else:
-        print(f"error: unknown rule {args.rule!r}", file=sys.stderr)
-        return 1
     payload = {
         "W": [[float(v) for v in row] for row in res.W],
         "converged": bool(res.converged),

@@ -5,10 +5,11 @@ Linear objectives are minimized exactly by the cover search of
 with the negative-cost rows at the greatest solution and cut by the best
 cost found.
 Nonlinear objectives run through a feasibility-preserving genetic
-algorithm that breeds a whole generation as one (k, m) array: its parents
-drawn by rank with one ``searchsorted``, every crossover and mutation draw
-made for all rows at once, and one repair of the whole generation after
-both, with one sup-t composition to find the children that need it.
+algorithm under any continuous sup-t, whose start box and repair come from
+the grid V of ``binding_columns``.  It breeds a whole generation as one
+(k, m) array: parents drawn by rank with one ``searchsorted``, every draw
+made for all rows at once, and one repair after crossover and mutation, with
+one sup-t composition to find the children that need it.
 Multi-objective search keeps a Pareto archive that takes a generation at
 once: one array pass compares its points with the archive and with each
 other, and the adds are replayed in order over those booleans.  Fuzzy
@@ -21,10 +22,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grades import (CLOSE_ATOL, CLOSE_RTOL, MIN, OBJECTIVE_SLACK, STOP_TOL, TOL, ZERO_DIST2,
+from .grades import (CLOSE_ATOL, CLOSE_RTOL, OBJECTIVE_SLACK, STOP_TOL, TOL, ZERO_DIST2,
                      as_grades)
-from .relations import CHUNK_CELLS, MaxMin, as_grid, sup_t_compose
+from .relations import CHUNK_CELLS, as_grid, sup_t_compose
 from .solve import FreProblem, binding_columns, cover_search
+
+
+def _finite(v, name):
+    """v, when all its entries are finite; else a ValueError naming the first that is not."""
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite, got {v[~np.isfinite(v)][0]}")
+    return v
+
+
+def _integer(name, n, low):
+    """A ValueError naming name unless n is an integer (not a bool) of at least low."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -39,11 +53,8 @@ class LinearFreProblem:
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, float).ravel())
         if self.c.shape[0] != self.base.m:
-            raise ValueError(
-                f"cost vector has {self.c.shape[0]} entries for {self.base.m} rows"
-            )
-        if not np.all(np.isfinite(self.c)):
-            raise ValueError(f"cost vector must be finite, got {self.c[~np.isfinite(self.c)][0]}")
+            raise ValueError(f"cost vector has {self.c.shape[0]} entries for {self.base.m} rows")
+        _finite(self.c, "cost vector")
 
 
 def split_costs(c):
@@ -102,7 +113,7 @@ def equivalence_reduce(A, b):
 
 
 # ---------------------------------------------------------------------------
-# Genetic algorithm (feasibility preserving, max-min systems)
+# Genetic algorithm (feasibility preserving, any continuous sup-t)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -115,10 +126,8 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("population_size", 1), ("generations", 0)):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {n!r}")
+        _integer("population_size", self.population_size, 1)
+        _integer("generations", self.generations, 0)
         if not 0.0 < self.selection_q < 1.0:
             raise ValueError("selection_q must lie in (0, 1)")
         for p in (self.mutation_prob, self.crossover_prob):
@@ -127,24 +136,21 @@ class GaConfig:
 
 
 class _GaContext:
-    """The GA operators on one max-min system.  Each takes a (k, m)
-    population array and makes its random draws for all rows at once;
-    ``feasible`` repairs what crossover and mutation give into rows that
-    solve the system.  They share x_hat and the binding sets I_j of the
-    equivalence-reduced system (row i in I_j attains constraint j at
-    x_i = b_j)."""
+    """The GA operators on one system under a continuous sup-t.  Each takes
+    a (k, m) population array and makes its random draws for all rows at
+    once; ``feasible`` repairs what crossover and mutation give into rows
+    that solve the system.  They share x_hat, the binding sets I_j (row i in
+    I_j attains constraint j at x_hat_i) and min(V[i, j], x_hat_i), V from
+    ``binding_columns``, at which row i attains j without leaving [0, x_hat]."""
 
     def __init__(self, p: FreProblem):
-        if not isinstance(p.composition, MaxMin):
-            raise ValueError("genetic operators are defined for max-min systems only")
-        self.A, self.b = p.A, p.b
-        reduced = FreProblem(equivalence_reduce(p.A, p.b), p.b, MaxMin())
-        # the reduction keeps the greatest solution; binding[j, i]: i in I_j
-        self.x_hat, _, V = binding_columns(reduced)
+        self.t, self.A, self.b = p.tnorm(), p.A, p.b
+        self.x_hat, _, V = binding_columns(p)
+        # binding[j, i]: i in I_j; attain[j, i]: row i attains j from there up
         self.binding = np.isfinite(V).T
-        # per row, the largest b_j the reduced row can reach (0 when none)
-        self.lb_max = np.minimum(np.where(reduced.A >= p.b - TOL, p.b, 0.0).max(axis=1),
-                                 self.x_hat)
+        self.attain = np.minimum(V, self.x_hat[:, None]).T
+        # each row's largest attain (0 if none): [lb, x_hat] attains every j
+        self.lb = np.where(self.binding, self.attain, 0.0).max(axis=0, initial=0.0)
         # the rows a mutation may lower: those sharing a binding set
         self.decrease = np.flatnonzero(self.binding[self.binding.sum(axis=1) > 1].any(axis=0))
 
@@ -152,23 +158,23 @@ class _GaContext:
         """X with each row that does not solve the system (one composition
         checks them all) clamped into [0, x_hat] and repaired, in place:
         walking row r's constraints in order, each one no row attains gets a
-        random row of I_j raised to b_j, not avoid[r] when I_j has another
-        (avoid[r] = -1 spares none)."""
-        todo = np.flatnonzero(~(np.abs(sup_t_compose(MIN, X, self.A) - self.b)
+        random row i of I_j raised to min(V[i, j], x_hat_i), not avoid[r]
+        when I_j has another (avoid[r] = -1 spares none)."""
+        todo = np.flatnonzero(~(np.abs(sup_t_compose(self.t, X, self.A) - self.b)
                                 <= TOL).all(axis=1))
         X[todo] = np.clip(X[todo], 0.0, self.x_hat)
         avoid = np.full(len(X), -1) if avoid is None else avoid
         # under x_hat a raise attains its constraint and undoes no other
         # attainment, so each round raises every row's first unattained one
         while todo.size:
-            missed = ~(np.abs(np.minimum(X[todo, :, None], self.A) - self.b)
+            missed = ~(np.abs(self.t.apply(X[todo, :, None], self.A) - self.b)
                        <= TOL).any(axis=1)
             todo, j = todo[missed.any(axis=1)], missed[missed.any(axis=1)].argmax(axis=1)
             pool = self.binding[j]
             pool &= (np.arange(len(self.x_hat)) != avoid[todo, None]) | (
                 pool.sum(axis=1, keepdims=True) < 2)
             i = np.where(pool, rng.random(pool.shape), -1.0).argmax(axis=1)
-            X[todo, i] = np.maximum(X[todo, i], self.b[j])
+            X[todo, i] = np.maximum(X[todo, i], self.attain[j, i])
         return X
 
     def mutate(self, X, rng):
@@ -193,11 +199,11 @@ class _GaContext:
 
 def _start(p: FreProblem, cfg: GaConfig):
     """Context, generator and initial population of a GA run: points sampled
-    in the box [LB_max, x_hat] (after equivalence reduction every such point
-    is feasible), repaired as a safety net."""
+    in the box [lb, x_hat] of ``_GaContext`` (every such point is feasible),
+    repaired as a safety net."""
     ctx = _GaContext(p)
     rng = np.random.default_rng(cfg.rng_seed)
-    box = ctx.lb_max + rng.random((cfg.population_size, p.m)) * (ctx.x_hat - ctx.lb_max)
+    box = ctx.lb + rng.random((cfg.population_size, p.m)) * (ctx.x_hat - ctx.lb)
     return ctx, rng, ctx.feasible(box, rng)
 
 
@@ -207,7 +213,7 @@ def _point(p: FreProblem, x):
 
 
 def ga_initialize(p: FreProblem, cfg: GaConfig):
-    """Initial GA population: feasible points in the box [LB_max, x_hat]."""
+    """Initial GA population: feasible points in the box [lb, x_hat]."""
     return list(_start(p, cfg)[2])
 
 
@@ -260,7 +266,7 @@ def optimize_nonlinear_ga(p: FreProblem, f, cfg: GaConfig | None = None):
     for gen in range(cfg.generations + 1):
         if gen:
             X = np.vstack([best_x, _breed(X, np.argsort(fit), len(X) - 1, ctx, cfg, rng)])
-        fit = np.array([float(f(x)) for x in X])
+        fit = _finite(np.array([float(f(x)) for x in X]), "objective values")
         if gen == 0 or fit.min() < best_f:
             best_x, best_f = X[np.argmin(fit)].copy(), fit.min()
     return best_x, float(best_f)
@@ -304,7 +310,7 @@ class ParetoArchive:
         X, Z = np.array(X, float), np.array(Z, float)
         if len(X) != len(Z):
             raise ValueError(f"{len(X)} points for {len(Z)} objective vectors")
-        Z = Z.reshape(len(Z), Z.size // max(len(Z), 1))
+        Z = _finite(Z.reshape(len(Z), Z.size // max(len(Z), 1)), "objective vectors")
         # slices whose comparisons with the archive hold about CHUNK_CELLS cells
         step = max(1, CHUNK_CELLS // max((len(self.points) + len(Z)) * Z.shape[1], 1))
         return [a for s in range(0, len(Z), step)
@@ -362,15 +368,17 @@ def fuzzy_c_means(points, C, m=2.0, tol=STOP_TOL, max_iter=300, rng_seed=0):
     if X.ndim != 2 or not np.isfinite(X).all():
         raise ValueError("points must be a 2-d array of finite numbers")
     P = X.shape[0]
-    if not 1 <= C <= P:
-        raise ValueError(f"C must lie between 1 and the number of points, {P}; got {C!r}")
-    if m <= 1.0:
-        raise ValueError("fuzzifier m must exceed 1")
+    if isinstance(C, bool) or not isinstance(C, (int, np.integer)) or not 1 <= C <= P:
+        raise ValueError(f"C must lie between 1 and the number of points, {P}, as an int: {C!r}")
+    if not (np.isfinite(m) and m > 1.0):
+        raise ValueError(f"m must be finite and above 1, got {m!r}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    _integer("max_iter", max_iter, 1)
     rng = np.random.default_rng(rng_seed)
     U = rng.random((C, P))
     U /= U.sum(axis=0, keepdims=True)
     centers = np.zeros((C, X.shape[1]))
-    it = 0
 
     def dist2(centers):
         """Squared distance of every point to every centre, (C, P)."""

@@ -246,11 +246,8 @@ def minimal_solutions_matrix_pattern(p: FreProblem, cap=None) -> SolutionSet:
 
 
 def minimal_solutions_archimedean(p: FreProblem, cap=None) -> SolutionSet:
-    """The cover search with the cap on its leaves; defined for Archimedean
-    t-norms only."""
-    t = p.tnorm()
-    if not t.archimedean:
-        raise ValueError(f"requires an Archimedean t-norm, got {t.name}")
+    """The cover search with the cap on its leaves, as ``pattern`` runs it
+    (the search needs no Archimedean t-norm)."""
     return _cover_minimals(p, cap, "candidate set exceeds cap {}")
 
 

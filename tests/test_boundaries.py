@@ -137,10 +137,17 @@ def test_an_explicit_cap_must_be_a_positive_integer(cap):
     (lambda: fuzzy_c_means([[0.0], [1.0]], 3), "C must lie between 1 and the number of points"),
     (lambda: fuzzy_c_means([[0.0], [np.nan]], 1), "points must be a 2-d array of finite"),
     (lambda: fuzzy_c_means([0.0, 1.0], 1), "points must be a 2-d array of finite"),
+    (lambda: fuzzy_c_means([[0.0], [1.0]], True), "C must lie between 1 and the number of points"),
+    (lambda: fuzzy_c_means([[0.0], [1.0]], 2.0), "C must lie between 1 and the number of points"),
+    (lambda: fuzzy_c_means([[0.0], [1.0]], 1, m=np.nan), "^m must be finite and above 1, got nan"),
+    (lambda: fuzzy_c_means([[0.0], [1.0]], 1, m=np.inf), "^m must be finite and above 1, got inf"),
+    (lambda: fuzzy_c_means([[0.0], [1.0]], 1, tol=np.nan), "^tol must be finite and non-negative"),
+    (lambda: fuzzy_c_means([[0.0], [1.0]], 1, max_iter=0), "^max_iter must be an integer of at"),
     (lambda: TrainerConfig(epsilon=-1.0), "epsilon must be finite and non-negative"),
     (lambda: TrainerConfig(epsilon=np.nan), "epsilon must be finite and non-negative"),
 ], ids=["ga-population-0", "ga-population-float", "ga-generations-negative", "fcm-C-0",
-        "fcm-C-above-points", "fcm-nan-point", "fcm-1-d-points", "trainer-epsilon-negative",
+        "fcm-C-above-points", "fcm-nan-point", "fcm-1-d-points", "fcm-C-bool", "fcm-C-float",
+        "fcm-m-nan", "fcm-m-inf", "fcm-tol-nan", "fcm-max-iter-0", "trainer-epsilon-negative",
         "trainer-epsilon-nan"])
 def test_algorithm_parameters_are_checked_where_they_enter(call, message):
     with pytest.raises(ValueError, match=message):

@@ -1,29 +1,44 @@
 """The population-array GA and the Pareto archive it fills: properties over
-small random max-min systems, the rank draw against its distribution, and
-the per-point operators as one-row views of the batch ones."""
+small random max-min, max-product and sup-Łukasiewicz systems, the start box
+and the binding sets against those of the equivalence-reduced max-min
+system, the repair within [0, x_hat], the rank draw against its
+distribution, and the per-point operators as one-row views of the batch
+ones."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from relq.optimize import (GaConfig, _breed, _parent_ranks, _rank_probabilities, _start,
-                           dominates, ga_crossover, ga_initialize, ga_mutate,
-                           optimize_multiobjective, optimize_nonlinear_ga)
-from relq.solve import FreProblem, max_solution, solve
+from relq.grades import LUKASIEWICZ, TOL
+from relq.optimize import (GaConfig, _breed, _GaContext, _parent_ranks, _rank_probabilities,
+                           _start, dominates, equivalence_reduce, ga_crossover, ga_initialize,
+                           ga_mutate, optimize_multiobjective, optimize_nonlinear_ga)
+from relq.relations import MaxMin, MaxProduct, SupT
+from relq.solve import FreProblem, binding_columns, max_solution, solve
 
 
 @st.composite
-def ga_cases(draw):
-    """A feasible max-min system on a 0.1 or 0.25 grid (tie-heavy), a cost
-    vector and a small GA configuration."""
+def grid_systems(draw, comps, nudge=0.0):
+    """A system under one of comps on a 0.1 or 0.25 grid (tie-heavy), b the
+    image of a grid point with each entry moved by up to nudge·TOL."""
+    comp = draw(st.sampled_from(comps))
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     steps = draw(st.sampled_from([4, 10]))
     cells = st.integers(0, steps).map(lambda k: k / steps)
     A = np.array(draw(st.lists(cells, min_size=m * n, max_size=m * n))).reshape(m, n)
     x0 = np.array(draw(st.lists(cells, min_size=m, max_size=m)))
-    p = FreProblem(A, FreProblem(A, np.zeros(n)).lhs(x0))
-    c = np.array(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)), float)
+    shift = draw(st.lists(st.floats(-nudge, nudge), min_size=n, max_size=n))
+    b = np.clip(FreProblem(A, np.zeros(n), comp).lhs(x0) + TOL * np.array(shift), 0.0, 1.0)
+    return FreProblem(A, b, comp)
+
+
+@st.composite
+def ga_cases(draw):
+    """A feasible max-min, max-product or sup-Łukasiewicz grid system, a cost
+    vector and a small GA configuration."""
+    p = draw(grid_systems([MaxMin(), MaxProduct(), SupT(LUKASIEWICZ)]))
+    c = np.array(draw(st.lists(st.integers(-4, 4), min_size=p.m, max_size=p.m)), float)
     probs = st.sampled_from([0.0, 0.3, 1.0])
     cfg = GaConfig(population_size=draw(st.integers(1, 8)),
                    generations=draw(st.integers(0, 4)),
@@ -83,6 +98,36 @@ def test_breed_returns_solutions(case, count):
         X = _breed(X, np.arange(len(X)), count, ctx, cfg, rng)
         assert X.shape == (count, p.m)
         assert all(p.is_solution(x) for x in X)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_systems([MaxMin()], nudge=0.9))
+def test_start_box_and_binding_sets_match_the_reduced_max_min_system(p):
+    # the max-min-only set-up this context replaced: the binding sets of the
+    # equivalence-reduced system, and LB_max, the largest b_j a reduced row
+    # reaches (0 when none), capped at x_hat
+    assume(max_solution(p) is not None)
+    ctx = _GaContext(p)
+    reduced = FreProblem(equivalence_reduce(p.A, p.b), p.b)
+    x_hat, _, V = binding_columns(reduced)
+    lb_max = np.minimum(np.where(reduced.A >= p.b - TOL, p.b, 0.0).max(axis=1), x_hat)
+    assert ctx.x_hat.tobytes() == x_hat.tobytes()
+    assert np.array_equal(ctx.binding, np.isfinite(V).T)
+    assert ctx.lb.tobytes() == lb_max.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_systems([MaxProduct()], nudge=0.9), st.integers(0, 2 ** 16))
+# b_0 lies 0.9·TOL above 0.5·x_hat_0, so the smallest x_0 attaining it,
+# b_0 / 0.5, lies above x_hat_0 = 0.5: the repair must stop at x_hat
+@example(FreProblem([[0.5, 0.5]], [0.25 + 0.9 * TOL, 0.25], MaxProduct()), 0)
+def test_repair_stays_within_x_hat(p, seed):
+    # rows drawn in [0, x_hat]: a repaired row must stay there and solve
+    assume(max_solution(p) is not None)
+    ctx, rng = _GaContext(p), np.random.default_rng(seed)
+    X = ctx.feasible(rng.random((6, p.m)) * ctx.x_hat, rng)
+    assert np.all((X >= 0.0) & (X <= ctx.x_hat))
+    assert all(p.is_solution(x) for x in X)
 
 
 def test_breed_spares_each_mutants_lowered_row():

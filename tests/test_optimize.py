@@ -6,6 +6,7 @@ from relq.optimize import (GaConfig, LinearFreProblem, ParetoArchive,
                            fuzzy_c_means, ga_crossover, ga_initialize,
                            ga_mutate, optimize_linear, optimize_multiobjective,
                            optimize_nonlinear_ga, pseudo_char_matrix, split_costs)
+from relq.relations import MaxProduct, composition_by_name
 from relq.solve import FreProblem, max_solution, solve
 
 from .oracles import brute_force_linear
@@ -117,11 +118,45 @@ def test_ga_close_to_exact():
     assert z_ga - z_exact <= 1e-3
 
 
-def test_ga_requires_maxmin():
-    from relq.relations import MaxProduct
-    p = FreProblem([[0.5]], [0.25], MaxProduct())
-    with pytest.raises(ValueError):
+def test_ga_runs_under_max_product():
+    p = FreProblem([[0.5, 0.8], [1.0, 0.4]], [0.25, 0.4], MaxProduct())
+    x, fx = optimize_nonlinear_ga(p, lambda x: float(x @ x), GaConfig(10, 10))
+    assert p.is_solution(x) and fx == float(x @ x)
+
+
+def test_ga_refuses_a_discontinuous_tnorm():
+    p = FreProblem([[0.5]], [0.25], composition_by_name("sup-t:drastic"))
+    with pytest.raises(ValueError, match="continuous t-norm"):
         optimize_nonlinear_ga(p, lambda x: float(x[0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ga_rejects_a_non_finite_objective(bad):
+    # a NaN first evaluation used to become the best point for good
+    p = FreProblem([[0.5, 0.3], [0.7, 0.3]], [0.5, 0.3])
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return bad if calls[0] == 1 else float(x.sum())
+
+    with pytest.raises(ValueError, match=f"^objective values must be finite, got {bad}$"):
+        optimize_nonlinear_ga(p, f, GaConfig(4, 2))
+    calls[0] = 0
+    with pytest.raises(ValueError, match=f"^objective vectors must be finite, got {bad}$"):
+        optimize_multiobjective(p, [f, lambda x: float(x[0])], GaConfig(4, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_archive_rejects_a_non_finite_objective_vector(bad):
+    # [0, 0] dominates every finite point; [nan, 1] used to be kept beside it
+    arch = ParetoArchive()
+    assert arch.add([0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match=f"^objective vectors must be finite, got {bad}$"):
+        arch.add([1.0], [bad, 1.0])
+    with pytest.raises(ValueError, match=f"^objective vectors must be finite, got {bad}$"):
+        arch.extend([[0.5], [1.0]], [[0.5, 0.5], [1.0, bad]])
+    assert [z.tolist() for _, z in arch.points] == [[0.0, 0.0]]
 
 
 def test_dominates_and_archive():

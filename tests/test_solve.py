@@ -214,17 +214,21 @@ def test_cap_allows_streaming(method):
     assert minimal_set_key(res.minimals) == minimal_set_key(np.eye(7))
 
 
-def test_archimedean_requires_archimedean():
-    p = FreProblem([[0.5]], [0.5])
-    with pytest.raises(ValueError):
-        minimal_solutions_archimedean(p)
-
-
 def grid_system(rng, m, n, steps, comp):
     """A feasible system: A, then x, drawn as integers over steps, b = x∘A."""
     A = rng.integers(0, steps + 1, (m, n)) / steps
     x = rng.integers(0, steps + 1, m) / steps
     return FreProblem(A, FreProblem(A, np.zeros(n), comp).lhs(x), comp)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_archimedean_runs_the_pattern_search_under_max_min(seed):
+    # min is not Archimedean; the search needs no such t-norm
+    p = grid_system(np.random.default_rng(seed), 8, 8, 10, MaxMin())
+    want = minimal_solutions_matrix_pattern(p).minimals
+    got = minimal_solutions_archimedean(p).minimals
+    assert len(want) > 1 and len(got) == len(want)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("seed", range(12))
