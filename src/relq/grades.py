@@ -109,7 +109,9 @@ class TNorm:
 
     A t-norm defines ``apply`` (and, where it has closed forms,
     ``apply_residuum`` and ``min_section_solution``) once, over broadcast
-    arrays; ``__call__`` and ``residuum`` are those forms on grades."""
+    arrays; ``__call__`` and ``residuum`` are those forms on grades.
+    ``apply`` must be monotone in each argument, float for float: the
+    sorted ``sup_t_compose`` stops early on that."""
 
     name = "abstract"
     continuous = True

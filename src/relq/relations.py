@@ -8,7 +8,11 @@ the t-norm's ``apply``) and ``inf_implication_compose`` (min over j of
 imp(P[i,j], Q[j,k]); with a residuum as imp this is the Sanchez greatest
 solution).  Both work on a block of rows of P and a slice of the middle
 axis at a time, so a temporary holds at most max(``CHUNK_CELLS``, cols)
-cells; a call that fits in one block is one op and one reduce.
+cells; a call that fits in one block is one op and one reduce.  Both
+reject operands whose middle axes differ.  Above one block, from 64 middle
+indices on, ``sup_t_compose`` visits each row's j in descending order of
+P[i, j] and stops a block of rows once t(P at the next j, Q's column
+maximum) <= out in every cell: t is monotone, so no later j can raise one.
 ``compose`` checks a raw operand in place and copies it only to clamp a
 cell in the TOL band; a Relation copies any array its caller can still
 write.
@@ -200,14 +204,19 @@ def composition_by_name(name):
 CHUNK_CELLS = 1 << 15
 
 
+# sup_t_compose sorts from this mid on; below it sorting costs more than it saves
+_SORT_MID = 64
+
+
 def _chunked(op, reduce, P, Q):
     """reduce over j of op(P[i,j], Q[j,k]), for a block of rows of P and a
     slice of j at a time: each op temporary holds at most
     max(CHUNK_CELLS, cols) cells.  Each cell's op value is the same in any
     block, and max and min reduce exactly, so the blocks never change the
-    result."""
-    rows, mid = P.shape
-    cols = Q.shape[1]
+    result.  ValueError unless P has as many columns as Q has rows."""
+    (rows, mid), (n, cols) = P.shape, Q.shape
+    if mid != n:
+        raise ValueError(f"dimension mismatch: {P.shape} cannot compose with {Q.shape}")
     if rows * mid * cols <= CHUNK_CELLS:
         return reduce.reduce(op(P[:, :, None], Q[None, :, :]), axis=1)
     step = min(mid, max(1, CHUNK_CELLS // cols))
@@ -225,8 +234,36 @@ def _chunked(op, reduce, P, Q):
 
 
 def sup_t_compose(t: TNorm, P, Q):
-    """Array kernel: out[i,k] = max_j t(P[i,j], Q[j,k]) on float grids."""
-    return _chunked(t.apply, np.maximum, P, Q)
+    """Array kernel: out[i,k] = max_j t(P[i,j], Q[j,k]) on float grids.
+
+    Above one block, from _SORT_MID middle indices on, each block of rows
+    takes its j's in descending order of P[i, j], about 8 at a time, and
+    stops once t(P at the next j, Q.max(axis=0)) <= out in every cell (t is
+    monotone); max is exact, so the bytes are the plain kernel's.  A block
+    still running past half of mid hands itself and the later rows to the
+    plain kernel.  Op temporaries hold half the block bound or one Q row."""
+    (rows, mid), (n, cols) = P.shape, Q.shape
+    if mid < _SORT_MID or mid != n or rows * mid * cols <= CHUNK_CELLS:
+        return _chunked(t.apply, np.maximum, P, Q)  # which rejects mid != n
+    block = max(1, CHUNK_CELLS // (16 * cols))
+    block = -(-rows // -(-rows // block))  # the same number of blocks, evened out
+    step = max(1, CHUNK_CELLS // (2 * block * cols))
+    top = Q.max(axis=0)
+    out = np.empty((rows, cols))
+    for r in range(0, rows, block):
+        order = np.argsort(-P[r:r + block], axis=1)
+        p = np.take_along_axis(P[r:r + block], order, axis=1)[:, :, None]
+        acc = out[r:r + block]
+        for s in range(0, mid, step):
+            e = s + step
+            part = np.maximum.reduce(t.apply(p[:, s:e], Q[order[:, s:e]]), axis=1)
+            acc[...] = np.maximum(acc, part) if s else part
+            if e >= mid or (t.apply(p[:, e], top) <= acc).all():
+                break
+            if 2 * e > mid:
+                out[r:] = _chunked(t.apply, np.maximum, P[r:], Q)
+                return out
+    return out
 
 
 def inf_implication_compose(imp, P, Q):
@@ -237,8 +274,6 @@ def inf_implication_compose(imp, P, Q):
 def compose(spec, P, Q):
     """Compose two relations: cell (i,k) = agg_j op(P[i,j], Q[j,k])."""
     P, Q = as_grid(P), as_grid(Q)
-    if P.shape[1] != Q.shape[0]:
-        raise ValueError(f"dimension mismatch: {P.shape} cannot compose with {Q.shape}")
     if isinstance(spec, (MaxMin, MaxProduct, SupT)):
         return _relation_of(sup_t_compose(spec.tnorm, P, Q))
     if isinstance(spec, InfImplication):
@@ -260,7 +295,7 @@ def transpose(R):
 
 def alpha_cut(R, alpha, strong=False):
     """Binary relation of cells with grade >= alpha (> alpha when strong)."""
-    grid = as_grid(R)
+    grid, alpha = as_grid(R), check_grades(alpha, "alpha")
     if strong:
         mask = grid > alpha + TOL
     else:
@@ -270,7 +305,7 @@ def alpha_cut(R, alpha, strong=False):
 
 def relation_properties(R, eps=0.5):
     """Structural flags of a square relation."""
-    grid = as_grid(R)
+    grid, eps = as_grid(R), check_grades(eps, "eps")
     n, m = grid.shape
     if n != m:
         raise ValueError(f"relation_properties needs a square relation, got {grid.shape}")

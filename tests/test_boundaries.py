@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from relq.datasets import PartitionedSeries
-from relq.grades import MIN, subsethood
+from relq.grades import MIN, godel, subsethood
 from relq.learn import TrainerConfig, TrainingSet, equality_error
 from relq.optimize import GaConfig, equivalence_reduce, fuzzy_c_means, pseudo_char_matrix
 from relq.products import defuzzify_cog, explain_at_least_k, mamdani_control
-from relq.relations import Relation
+from relq.relations import (Relation, alpha_cut, inf_implication_compose, relation_properties,
+                            sup_t_compose)
 from relq.solve import (FreProblem, binding_sets, gavalec_certificate, irreflexivity_condition,
                         kagei_type1, kagei_type2_unique, solve, specificity_shift_fit,
                         sre_solvability_criteria)
@@ -115,7 +116,19 @@ def test_a_row_or_a_column_reads_as_a_vector():
      "^selected output 4 out of range for 2 outputs$"),
     (lambda: PartitionedSeries((1, 2), HALVES, HALVES, [(0,), (1, 5)]),
      r"^block 1 \(1, 5\) has an index outside the series of 2 points$"),
-], ids=["irreflexivity-shapes", "kagei2-short-patterns", "kagei2-output", "series-block"])
+    # the kernels, below and above one block: a middle axis of 1 must not
+    # broadcast, nor the sorted kernel read only some rows of Q
+    (lambda: sup_t_compose(MIN, np.array([[0.5], [0.3]]), np.full((3, 2), 0.5)),
+     r"^dimension mismatch: \(2, 1\) cannot compose with \(3, 2\)$"),
+    (lambda: inf_implication_compose(godel, np.array([[0.5], [0.3]]), np.full((3, 2), 0.5)),
+     r"^dimension mismatch: \(2, 1\) cannot compose with \(3, 2\)$"),
+    (lambda: sup_t_compose(MIN, np.full((64, 64), 0.5), np.full((65, 64), 0.5)),
+     r"^dimension mismatch: \(64, 64\) cannot compose with \(65, 64\)$"),
+    (lambda: inf_implication_compose(godel, np.full((64, 64), 0.5), np.full((65, 64), 0.5)),
+     r"^dimension mismatch: \(64, 64\) cannot compose with \(65, 64\)$"),
+], ids=["irreflexivity-shapes", "kagei2-short-patterns", "kagei2-output", "series-block",
+        "sup-t-kernel-middle-1", "inf-kernel-middle-1", "sup-t-kernel-sorted",
+        "inf-kernel-blocks"])
 def test_shapes_and_indices_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -145,10 +158,16 @@ def test_an_explicit_cap_must_be_a_positive_integer(cap):
     (lambda: fuzzy_c_means([[0.0], [1.0]], 1, max_iter=0), "^max_iter must be an integer of at"),
     (lambda: TrainerConfig(epsilon=-1.0), "epsilon must be finite and non-negative"),
     (lambda: TrainerConfig(epsilon=np.nan), "epsilon must be finite and non-negative"),
+    (lambda: alpha_cut([[0.5]], np.nan), "^alpha must be finite and lie in \\[0, 1\\], got nan"),
+    (lambda: alpha_cut([[0.5]], np.inf), "^alpha must be finite and lie in \\[0, 1\\], got inf"),
+    (lambda: alpha_cut([[0.5]], -1), "^alpha must be finite and lie in \\[0, 1\\], got -1"),
+    (lambda: relation_properties([[0.5]], eps=np.nan), "^eps must be finite and lie in"),
+    (lambda: relation_properties([[0.5]], eps=1.5), "^eps must be finite and lie in"),
 ], ids=["ga-population-0", "ga-population-float", "ga-generations-negative", "fcm-C-0",
         "fcm-C-above-points", "fcm-nan-point", "fcm-1-d-points", "fcm-C-bool", "fcm-C-float",
         "fcm-m-nan", "fcm-m-inf", "fcm-tol-nan", "fcm-max-iter-0", "trainer-epsilon-negative",
-        "trainer-epsilon-nan"])
+        "trainer-epsilon-nan", "alpha-cut-nan", "alpha-cut-inf", "alpha-cut-negative",
+        "properties-eps-nan", "properties-eps-above-1"])
 def test_algorithm_parameters_are_checked_where_they_enter(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -230,13 +230,19 @@ KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["
     (["diagnose", "--comp", "max-min"], KNOWLEDGE, None, 1, "", ""),
     (["diagnose", "--round", "2"], KNOWLEDGE, None, 1, "", ""),
     (["demo", "pallavan", "--comp", "max-min"], None, None, 1, "", ""),
+    # an alpha outside [0, 1] is an error, not an empty or a full cut
+    (["demo", "hiv-triangle", "--alpha", "nan"], None, None, 1, "",
+     "error: alpha must be finite and lie in [0, 1], got nan"),
+    (["demo", "hiv-triangle", "--alpha", "-1"], None, None, 1, "",
+     "error: alpha must be finite and lie in [0, 1], got -1.0"),
 ], ids=["solve-nan-in-A", "solve-A-above-1", "optimize-inf-in-b", "optimize-nan-cost",
         "optimize-inf-cost", "optimize-drastic",
         "optimize-infeasible", "solve-bad-env-cap", "solve-flag-cap-wins",
         "solve-env-cap-fits", "solve-env-cap-exceeded", "solve-flag-cap-0", "solve-ragged-A", "no-seed-option",
         "no-demo-mode-option", "no-solve-tol-option", "no-optimize-cap-option",
         "learn-ok", "no-learn-comp-option", "diagnose-ok", "no-diagnose-comp-option",
-        "no-diagnose-round-option", "no-demo-comp-option"])
+        "no-diagnose-round-option", "no-demo-comp-option", "demo-alpha-nan",
+        "demo-alpha-negative"])
 def test_error_contract(capsys, monkeypatch, tmp_path, argv, problem, env, code,
                         out_has, err_has):
     if env is None:

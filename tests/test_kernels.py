@@ -115,6 +115,63 @@ def test_kernel_temporaries_stay_within_the_block_bound(chunk_cells, rows, mid, 
             assert blocked.tobytes() == kernel(op).tobytes()
 
 
+HAMACHER = GeneratorTNorm(lambda u: (1.0 - u) / u, name="hamacher")
+
+
+def p_family(rng, family, rows, mid):
+    """P for the sorted kernel: tie grades, all 1 or some rows all 1 (no
+    row block stops early), one constant, or crisp with one 1 per row."""
+    if family in ("ones", "ones-rows"):
+        P = tie_grid(rng, (rows, mid))
+        P[(rng.random(rows) < 0.5) | (family == "ones")] = 1.0
+        return P
+    if family == "constant":
+        return np.full((rows, mid), rng.choice(LEVELS))
+    if family == "crisp":
+        P = np.zeros((rows, mid))
+        P[np.arange(rows), rng.integers(0, mid, rows)] = 1.0
+        return P
+    return tie_grid(rng, (rows, mid))
+
+
+@pytest.mark.parametrize("t", [*TNORMS, HAMACHER], ids=lambda t: t.name)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), mid=st.integers(56, 100),
+       cols=st.integers(1, 12),
+       family=st.sampled_from(["ties", "ones", "ones-rows", "constant", "crisp"]),
+       q_family=st.sampled_from(["ties", "uniform", "zero-column"]))
+@settings(max_examples=30, deadline=None)
+def test_sorted_sup_t_compose_is_the_one_block_result(t, seed, rows, mid, cols, family,
+                                                       q_family):
+    # a 2^11 block bound puts these shapes on both sides of it, and mid on
+    # both sides of the sorted kernel's threshold; uniform grades in Q leave
+    # one largest cell per column, which a row of ones must reach
+    rng = np.random.default_rng(seed)
+    P = p_family(rng, family, rows, mid)
+    Q = rng.random((mid, cols)) if q_family == "uniform" else tie_grid(rng, (mid, cols))
+    if q_family == "zero-column":
+        Q[:, rng.integers(cols)] = 0.0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(relations, "CHUNK_CELLS", 1 << 11)
+        blocked = relations.sup_t_compose(t, P, Q)
+        m.setattr(relations, "CHUNK_CELLS", rows * mid * cols)
+        assert blocked.tobytes() == relations.sup_t_compose(t, P, Q).tobytes()
+
+
+def test_sorted_sup_t_compose_stops_early():
+    # one 1 per row of P: the first slice of each row holds its 1, after which
+    # t(0, max of Q) = 0 cannot raise a cell
+    rng = np.random.default_rng(11)
+    n = 64
+    ones = rng.integers(0, n, n)
+    P = np.zeros((n, n))
+    P[np.arange(n), ones] = 1.0
+    Q = tie_grid(rng, (n, n))
+    sizes = []
+    out = relations.sup_t_compose(SimpleNamespace(apply=recording(PRODUCT.apply, sizes)), P, Q)
+    assert n ** 3 > relations.CHUNK_CELLS and sum(sizes) <= n ** 3 // 4
+    assert out.tobytes() == Q[ones].tobytes()
+
+
 def test_crisp_implication_compose_matches_loops(chunk):
     rng = np.random.default_rng(3)
     for rows, mid, cols in shapes(rng):
