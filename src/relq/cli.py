@@ -1,8 +1,17 @@
 """Command-line front end.
 
-Subcommands: compose, solve, optimize, learn, diagnose, demo.  JSON is the
-canonical machine format; aligned text tables are for humans.  Exit codes:
-0 success, 2 infeasible system, 1 any other error.
+Subcommands: compose, solve, optimize, learn, diagnose, demo.  Each returns
+one document (a dict) and an exit code, and ``_emit`` prints the document:
+``--format json`` as one JSON object (the canonical machine format), table
+or csv one rule per entry: a 2-d array as a matrix block under ``key:``
+(comma-separated in csv, aligned columns in a table), a vector or list
+space-joined after ``key: ``, a nested dict one ``  key: value`` line per
+entry, and anything else as ``key: value``.  A document with one entry
+whose value is text, a vector or a matrix prints that value alone.
+``--round N`` rounds every real grade half up to N decimals, in JSON too.
+Neutrosophic compositions keep their file codec form (``# mode:`` line in
+csv), which ``NeutroRelation.from_json``/``from_csv`` read back.  Exit
+codes: 0 success, 2 infeasible system, 1 any other error.
 """
 
 from __future__ import annotations
@@ -38,41 +47,49 @@ def _fmt(x, nround=None):
     return f"{float(x):.9g}"
 
 
+def _text(v, nround):
+    """One value as a table prints it: reals through _fmt, the rest as str."""
+    return _fmt(v, nround) if isinstance(v, float) else str(v)
+
+
 def _json(val, nround=None):
-    """val ready for json.dumps: arrays as nested lists, floats rounded as
-    the tables round them."""
-    if isinstance(val, np.ndarray):
+    """val ready for json.dumps: arrays and tuples as lists, numpy scalars as
+    Python ones, floats rounded as the tables round them."""
+    if isinstance(val, dict):
+        return {key: _json(v, nround) for key, v in val.items()}
+    if isinstance(val, (list, tuple, np.ndarray)):
         return [_json(v, nround) for v in val]
-    if isinstance(val, float):
-        return float(_fmt(val, nround)) if nround is not None else float(val)
+    if isinstance(val, np.generic):
+        val = val.item()
+    if isinstance(val, float) and nround is not None:
+        return float(_fmt(val, nround))
     return val
 
 
-def _emit_matrix(grid, args):
-    grid = np.atleast_2d(np.asarray(grid, float))
+def _emit(doc, args):
+    """Print doc by the rule in the module docstring."""
     nround = getattr(args, "round", None)
     if args.format == "json":
-        print(json.dumps({"cells": _json(grid, nround)}))
-    elif args.format == "csv":
-        for row in grid:
-            print(",".join(_fmt(v, nround) for v in row))
-    else:
-        cols = [[_fmt(v, nround) for v in row] for row in grid]
-        width = max(len(s) for row in cols for s in row)
-        for row in cols:
-            print("  ".join(s.rjust(width) for s in row))
-
-
-def _emit_neutro(rel: NeutroRelation, args, mode):
-    if args.format == "json":
-        print(rel.to_json(mode))
-    elif args.format == "csv":
-        sys.stdout.write(rel.to_csv(mode))
-    else:
-        cells = [[neutro_format(g) for g in row] for row in rel.cells]
-        width = max(len(s) for row in cells for s in row)
-        for row in cells:
-            print("  ".join(s.rjust(width) for s in row))
+        print(json.dumps(_json(doc, nround)))
+        return
+    for key, val in doc.items():
+        bare = len(doc) == 1 and isinstance(val, (str, list, np.ndarray))
+        if isinstance(val, np.ndarray) and val.ndim == 2:
+            cells = [[_text(v, nround) for v in row] for row in val]
+            width = max(len(s) for row in cells for s in row)
+            sep, pad = (",", 0) if args.format == "csv" else ("  ", width)
+            block = [sep.join(s.rjust(pad) for s in row) for row in cells]
+        elif isinstance(val, dict):
+            block = [f"  {k}: {_text(v, nround)}" for k, v in val.items()]
+        else:
+            if isinstance(val, (list, np.ndarray)):
+                val = " ".join(_text(v, nround) for v in val)
+            print(_text(val, nround) if bare else f"{key}: {_text(val, nround)}")
+            continue
+        if not bare:
+            print(f"{key}:")
+        for line in block:
+            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -95,138 +112,79 @@ def _load_matrix(path):
     return Relation.from_csv(text)
 
 
-def _load_neutro(path, expect_mode=None):
-    text = _read_text(path)
-    if path.endswith(".json"):
-        rel, mode = NeutroRelation.from_json(text, expect_mode)
-    else:
-        rel, mode = NeutroRelation.from_csv(text, expect_mode)
-    return rel, mode
-
-
-def _composition_of(data, flag):
-    comp = data.get("composition", flag)
-    if isinstance(comp, dict):
-        kind = comp.get("sup-t", {}).get("kind", "min")
-        comp = f"sup-t:{kind}"
-    return composition_by_name(comp)
+def _load_neutro(path, mode):
+    read = NeutroRelation.from_json if path.endswith(".json") else NeutroRelation.from_csv
+    return read(_read_text(path), mode)[0]
 
 
 def _problem_from_file(path, args):
     data = json.loads(_read_text(path))
-    spec = _composition_of(data, args.comp)
-    return FreProblem(data["A"], data["b"], spec), data
+    comp = data.get("composition", args.comp)
+    if isinstance(comp, dict):
+        comp = f"sup-t:{comp.get('sup-t', {}).get('kind', 'min')}"
+    return FreProblem(data["A"], data["b"], composition_by_name(comp)), data
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (document, exit code)
 # ---------------------------------------------------------------------------
 
 def cmd_compose(args):
-    if args.mode is not None:
-        P, _ = _load_neutro(args.left, args.mode)
-        Q, _ = _load_neutro(args.right, args.mode)
-        if P.cols != Q.rows:
-            print(f"error: cannot compose {P.rows}x{P.cols} with {Q.rows}x{Q.cols}",
-                  file=sys.stderr)
-            return 1
-        _emit_neutro(neutro_compose(args.mode, P, Q), args, args.mode)
-        return 0
-    P = _load_matrix(args.left)
-    Q = _load_matrix(args.right)
-    if P.shape[1] != Q.shape[0]:
-        print(f"error: cannot compose {P.shape[0]}x{P.shape[1]} with "
-              f"{Q.shape[0]}x{Q.shape[1]}", file=sys.stderr)
-        return 1
-    _emit_matrix(compose(composition_by_name(args.comp), P, Q).cells, args)
-    return 0
+    mode = args.mode
+    load = _load_matrix if mode is None else lambda path: _load_neutro(path, mode)
+    P, Q = load(args.left), load(args.right)
+    if P.cols != Q.rows:
+        raise ValueError(f"cannot compose {P.rows}x{P.cols} with {Q.rows}x{Q.cols}")
+    if mode is None:
+        return {"cells": compose(composition_by_name(args.comp), P, Q).cells}, 0
+    R = neutro_compose(mode, P, Q)
+    if args.format == "json":
+        return json.loads(R.to_json(mode)), 0
+    if args.format == "csv":
+        return {"csv": R.to_csv(mode).rstrip("\n")}, 0
+    return {"cells": np.array([[neutro_format(g) for g in row] for row in R.cells])}, 0
 
 
 def cmd_solve(args):
     p, _ = _problem_from_file(args.problem, args)
     try:
         res = solve(p, method=args.method, cap=args.cap)
+        doc = {"feasible": True, "x_hat": res.x_hat, "minimals": np.array(res.minimals)}
     except InfeasibleError:
-        from .solve import SolutionSet
-        res = SolutionSet(False, None, [], [])
-    payload = {"feasible": bool(res.feasible)}
-    if res.feasible:
-        payload["x_hat"] = [float(v) for v in res.x_hat]
-        payload["minimals"] = [[float(v) for v in m] for m in res.minimals]
-    else:
-        payload["x_hat"] = None
-        payload["minimals"] = []
+        doc = {"feasible": False, "x_hat": None, "minimals": []}
+    doc["certificates"] = {}
     if isinstance(p.composition, MaxMin):
         cert = gavalec_certificate(p.A.T, p.b)
-        payload["certificates"] = {
-            "solvable": bool(cert.solvable), "unique": bool(cert.unique),
-        }
-    else:
-        payload["certificates"] = {}
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print("feasible:", payload["feasible"])
-        if res.feasible:
-            print("x_hat:", " ".join(_fmt(v, args.round) for v in res.x_hat))
-            for m in res.minimals:
-                print("minimal:", " ".join(_fmt(v, args.round) for v in m))
-    return 0 if res.feasible else 2
+        doc["certificates"] = {"solvable": cert.solvable, "unique": cert.unique}
+    return doc, 0 if doc["feasible"] else 2
 
 
 def cmd_optimize(args):
     p, data = _problem_from_file(args.problem, args)
-    if args.c is not None:
-        c = np.array([float(v) for v in args.c.split(",")])
-    else:
-        c = np.asarray(data["c"], float)
-    lp = LinearFreProblem(p, c)
+    c = data["c"] if args.c is None else [float(v) for v in args.c.split(",")]
     try:
-        x_star, z_star = optimize_linear(lp)
+        x_star, z_star = optimize_linear(LinearFreProblem(p, np.asarray(c, float)))
     except InfeasibleError:
-        print(json.dumps({"feasible": False}))
-        return 2
-    payload = {
-        "feasible": True,
-        "x_star": [float(v) for v in x_star],
-        "Z": float(z_star),
-        "certificate": "exact-ip",
-    }
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print("x_star:", " ".join(_fmt(v, args.round) for v in x_star))
-        print("Z:", _fmt(z_star, args.round))
-    return 0
+        return {"feasible": False}, 2
+    return {"feasible": True, "x_star": x_star, "Z": z_star, "certificate": "exact-ip"}, 0
+
+
+_LEARNERS = {
+    "basic": delta_rule_basic,
+    "J": delta_rule_J,
+    "B": lambda ts, cfg: delta_rule_B(ts),
+    "K": lambda ts, cfg: delta_rule_K(ts, cfg.tnorm),
+    "smooth": smooth_derivative_train,
+}
 
 
 def cmd_learn(args):
     data = json.loads(_read_text(args.training))
     ts = TrainingSet(data["inputs"], data["targets"])
-    t = tnorm_by_name(args.tnorm)
-    cfg = TrainerConfig(eta=args.eta, epsilon=args.tol, tnorm=t)
-    if args.rule == "basic":
-        res = delta_rule_basic(ts, cfg)
-    elif args.rule == "J":
-        res = delta_rule_J(ts, cfg)
-    elif args.rule == "B":
-        res = delta_rule_B(ts)
-    elif args.rule == "K":
-        res = delta_rule_K(ts, t)
-    elif args.rule == "smooth":
-        res = smooth_derivative_train(ts, cfg)
-    payload = {
-        "W": [[float(v) for v in row] for row in res.W],
-        "converged": bool(res.converged),
-        "epochs": int(res.epochs),
-        "error_trace": [float(e) for e in res.error_trace],
-    }
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        _emit_matrix(res.W, args)
-        print("converged:", payload["converged"], " epochs:", payload["epochs"])
-    return 0
+    cfg = TrainerConfig(eta=args.eta, epsilon=args.tol, tnorm=tnorm_by_name(args.tnorm))
+    res = _LEARNERS[args.rule](ts, cfg)
+    return {"W": res.W, "converged": res.converged, "epochs": res.epochs,
+            "error_trace": res.error_trace}, 0
 
 
 def cmd_diagnose(args):
@@ -239,38 +197,23 @@ def cmd_diagnose(args):
         observed_present=set(data.get("observed_present", ())),
         observed_absent=set(data.get("observed_absent", ())),
     )
-    out = diagnose(k)
-    if args.format == "json":
-        print(json.dumps(out))
-    else:
-        for key, val in out.items():
-            print(f"{key}: {', '.join(map(str, val)) if val else '-'}")
-    return 0
-
-
-def _demo_pallavan(args):
-    partition = {3: "fives", 4: "arbitrary", 5: "threes"}.get(args.blocks)
-    if partition is None:
-        print("error: --blocks must be 3, 4, or 5", file=sys.stderr)
-        return 1
-    series = datasets.pallavan_series(partition)
-    blocks = datasets.estimate_block_relations(series)
-    rows = [
-        {"block": list(b["block"]), "peak_hour": int(b["peak_label"]),
-         "peak_value": float(b["peak_value"])}
-        for b in blocks
-    ]
-    if args.format == "json":
-        print(json.dumps({"partition": partition, "peaks": rows}))
-    else:
-        for b in blocks:
-            print(f"block {b['block']}: peak at hour ending "
-                  f"{b['peak_label']} (scaled {_fmt(b['peak_value'], args.round)})")
-    return 0
+    return diagnose(k), 0
 
 
 def _demo_doc(name, args):
-    """The result of demo ``name`` (not pallavan) as one dict for _emit_demo."""
+    """The result of demo ``name`` as one document."""
+    if name == "pallavan":
+        partition = {3: "fives", 4: "arbitrary", 5: "threes"}.get(args.blocks)
+        if partition is None:
+            raise ValueError("--blocks must be 3, 4, or 5")
+        blocks = datasets.estimate_block_relations(datasets.pallavan_series(partition))
+        if args.format != "json":
+            return {"peaks": "\n".join(
+                f"block {b['block']}: peak at hour ending {b['peak_label']} "
+                f"(scaled {_fmt(b['peak_value'], args.round)})" for b in blocks)}
+        return {"partition": partition, "peaks": [
+            {"block": b["block"], "peak_hour": b["peak_label"], "peak_value": b["peak_value"]}
+            for b in blocks]}
     if name == "chemical-flow":
         res = datasets.demo_chemical_flow()
         return {"trained weights": res["weights"], "outputs": res["outputs"],
@@ -292,34 +235,10 @@ def _demo_doc(name, args):
     return {"cells": datasets.COMPAT_GRAPH.cells}  # compat-graph
 
 
-def _emit_demo(doc, args):
-    """One JSON object, or per entry a table: a 2-d array under a "key:"
-    line, anything else after "key: "; a one-entry dict prints its value
-    alone."""
-    if args.format == "json":
-        print(json.dumps({key: _json(val, args.round) for key, val in doc.items()}))
-        return
-    for key, val in doc.items():
-        if isinstance(val, np.ndarray) and val.ndim == 2:
-            if len(doc) > 1:
-                print(f"{key}:")
-            _emit_matrix(val, args)
-            continue
-        if isinstance(val, (list, np.ndarray)):
-            val = " ".join(v if isinstance(v, str) else _fmt(v, args.round) for v in val)
-        print(f"{key}: {val}" if len(doc) > 1 else val)
-
-
 def cmd_demo(args):
-    name = args.name
-    if name not in datasets.DEMO_NAMES:
-        print("error: unknown demo; available: " + ", ".join(datasets.DEMO_NAMES),
-              file=sys.stderr)
-        return 1
-    if name == "pallavan":
-        return _demo_pallavan(args)
-    _emit_demo(_demo_doc(name, args), args)
-    return 0
+    if args.name not in datasets.DEMO_NAMES:
+        raise ValueError("unknown demo; available: " + ", ".join(datasets.DEMO_NAMES))
+    return _demo_doc(args.name, args), 0
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +271,7 @@ def build_parser():
     sp.add_argument("--method", choices=("lambda", "pattern", "archimedean"),
                     default="lambda")
     sp.add_argument("--cap", type=int, default=None,
-                    help="cap on enumerated combinations (default: RELQ_CAP or 10^6)")
+                    help="cap on the search leaves (default: RELQ_CAP or 10^6)")
     _add_common(sp, "round", "comp")
     sp.set_defaults(func=cmd_solve)
 
@@ -364,8 +283,7 @@ def build_parser():
 
     sp = sub.add_parser("learn", help="learn W from training samples")
     sp.add_argument("training")
-    sp.add_argument("--rule", choices=("basic", "J", "B", "K", "smooth"),
-                    default="K")
+    sp.add_argument("--rule", choices=tuple(_LEARNERS), default="K")
     sp.add_argument("--tnorm", default="min")
     sp.add_argument("--eta", type=float, default=0.1)
     sp.add_argument("--tol", type=float, default=TrainerConfig.epsilon)
@@ -396,7 +314,9 @@ def main(argv=None):
     if getattr(args, "alpha", None) is None and args.command == "demo":
         args.alpha = [1.0]
     try:
-        return args.func(args)
+        doc, code = args.func(args)
+        _emit(doc, args)
+        return code
     except BrokenPipeError:
         return 1
     except Exception as exc:  # stable error contract: anything else is exit 1

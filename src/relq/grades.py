@@ -115,7 +115,6 @@ class TNorm:
 
     name = "abstract"
     continuous = True
-    archimedean = False
 
     def apply(self, a, b):
         """t in every broadcast cell of a and b."""
@@ -163,7 +162,6 @@ class MinTNorm(TNorm):
 
 class ProductTNorm(TNorm):
     name = "product"
-    archimedean = True
 
     def apply(self, a, b):
         return a * b
@@ -181,7 +179,6 @@ class ProductTNorm(TNorm):
 
 class LukasiewiczTNorm(TNorm):
     name = "lukasiewicz"
-    archimedean = True
 
     def apply(self, a, b):
         return np.maximum(0.0, a + b - 1.0)
@@ -250,7 +247,6 @@ class GeneratorTNorm(TNorm):
     """
 
     name = "generator"
-    archimedean = True
 
     def __init__(self, f, f_inv=None, name=None):
         self.f = f

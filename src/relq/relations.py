@@ -148,7 +148,6 @@ def identity(n):
 # ---------------------------------------------------------------------------
 
 class MaxMin:
-    kind = "max-min"
     tnorm = MIN
 
     def __repr__(self):
@@ -156,7 +155,6 @@ class MaxMin:
 
 
 class MaxProduct:
-    kind = "max-product"
     tnorm = PRODUCT
 
     def __repr__(self):
@@ -164,8 +162,6 @@ class MaxProduct:
 
 
 class SupT:
-    kind = "sup-t"
-
     def __init__(self, tnorm: TNorm):
         self.tnorm = tnorm
 
@@ -176,8 +172,6 @@ class SupT:
 class InfImplication:
     """inf_j imp(P[i,j], Q[j,k]); imp must accept numpy arrays elementwise,
     as every implication in relq.grades does."""
-
-    kind = "inf-implication"
 
     def __init__(self, implication=godel):
         self.implication = implication

@@ -87,6 +87,10 @@ def test_compose_dim_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, ["compose", str(p), str(q)])
     assert code == 1
     assert "1x2" in err and "1x1" in err
+    p.write_text("# mode: graded\n0.3,I\n")
+    q.write_text("# mode: graded\n0.1\n")
+    assert run(capsys, ["compose", str(p), str(q), "--mode", "graded"]) == (
+        1, "", "error: cannot compose 1x2 with 1x1\n")
 
 
 def test_compose_ragged_csv(capsys, tmp_path):
@@ -188,6 +192,8 @@ def test_round_flag_half_up(capsys, tmp_path):
 
 GOOD = {"A": [[0.5, 0.3], [0.7, 0.3]], "b": [0.5, 0.3]}
 TRAINING = {"inputs": [[0.5, 0.7]], "targets": [[0.5, 0.3]]}
+# rows 3j, 3j+1 and 3j+2 bind column j: the search has 27 leaves
+TWENTY_SEVEN_LEAVES = {"A": np.repeat(np.eye(3), 3, axis=0).tolist(), "b": [0.5] * 3}
 KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["m1"]},
              "observed_present": ["m1"]}
 
@@ -211,8 +217,8 @@ KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["
     # RELQ_CAP is read when no --cap is given, and a malformed one is an error
     (["solve"], GOOD, "abc", 1, "", "RELQ_CAP must be a positive integer"),
     (["solve", "--cap", "5"], GOOD, "abc", 0, '"feasible": true', ""),
-    (["solve"], {"A": [[0.5] * 3] * 3, "b": [0.5] * 3}, "27", 0, '"feasible": true', ""),
-    (["solve"], {"A": [[0.5] * 3] * 3, "b": [0.5] * 3}, "26", 1, "", "exceed cap 26"),
+    (["solve"], TWENTY_SEVEN_LEAVES, "27", 0, '"feasible": true', ""),
+    (["solve"], TWENTY_SEVEN_LEAVES, "26", 1, "", "exceed cap 26"),
     # --cap is checked as RELQ_CAP is
     (["solve", "--cap", "0"], GOOD, None, 1, "", "cap must be a positive integer, got 0"),
     # a ragged A is named as such
@@ -258,3 +264,55 @@ def test_error_contract(capsys, monkeypatch, tmp_path, argv, problem, env, code,
     assert out_has in out and err_has in err
     if code == 1:
         assert out == ""
+
+
+def _shown(v):
+    """A JSON scalar as the tables print it."""
+    return f"{v:.9g}" if isinstance(v, float) else str(v)
+
+
+TINY = {"A": [[0.7]], "b": [0.3], "composition": "max-product", "c": [1.0]}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["solve"], GOOD),
+    (["solve"], {"A": [[0.1]], "b": [0.9]}),
+    (["optimize", "--c", "2,1"], GOOD),
+    (["learn", "--rule", "K", "--tnorm", "product"], TRAINING),
+    (["diagnose"], {**KNOWLEDGE, "disorders": ["d1", "d2"],
+                    "certain": {"d1": ["m1"], "d2": ["m1"]}}),
+], ids=["solve", "solve-infeasible", "optimize", "learn", "diagnose"])
+def test_table_names_every_json_key(capsys, tmp_path, argv, payload):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(payload))
+    argv = [argv[0], str(f), *argv[1:]]
+    doc = json.loads(run(capsys, [*argv, "--format", "json"])[1])
+    lines = run(capsys, argv)[1].splitlines()
+    assert len(doc) > 1
+    for key, val in doc.items():
+        if isinstance(val, dict):  # a "key:" line, then one line per entry
+            want = [f"{key}:", *(f"  {k}: {_shown(v)}" for k, v in val.items())]
+        elif isinstance(val, list) and val and isinstance(val[0], list):  # a matrix
+            want = [f"{key}:"]
+        elif isinstance(val, list):
+            want = [f"{key}: " + " ".join(map(_shown, val))]
+        else:
+            want = [f"{key}: {_shown(val)}"]
+        assert set(want) <= set(lines)
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["solve"], TINY),
+    (["optimize"], TINY),
+    (["learn", "--rule", "K", "--tnorm", "product"], TRAINING),
+    (["demo", "pallavan"], None),
+], ids=["solve", "optimize", "learn", "demo-pallavan"])
+def test_round_applies_to_json(capsys, tmp_path, argv, payload):
+    if payload is not None:
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(payload))
+        argv = [argv[0], str(f), *argv[1:]]
+    out = run(capsys, [*argv, "--format", "json", "--round", "2"])[1]
+    floats = []
+    json.loads(out, parse_float=lambda s: floats.append(s) or float(s))
+    assert floats and all(len(s.partition(".")[2]) <= 2 for s in floats)
