@@ -9,9 +9,11 @@ space-joined after ``key: ``, a nested dict one ``  key: value`` line per
 entry, and anything else as ``key: value``.  A document with one entry
 whose value is text, a vector or a matrix prints that value alone.
 ``--round N`` rounds every real grade half up to N decimals, in JSON too.
-Neutrosophic compositions keep their file codec form (``# mode:`` line in
-csv), which ``NeutroRelation.from_json``/``from_csv`` read back.  Exit
-codes: 0 success, 2 infeasible system, 1 any other error.
+Only two commands read ``--format`` themselves, and the rest must not:
+neutrosophic ``compose`` keeps its file codec form (``# mode:`` line in
+csv), which ``NeutroRelation.from_json``/``from_csv`` read back, and the
+``demo pallavan`` table keeps its ``block …: peak at hour ending …`` lines.
+Exit codes: 0 success, 2 infeasible system, 1 any other error.
 """
 
 from __future__ import annotations
@@ -271,7 +273,7 @@ def build_parser():
     sp.add_argument("--method", choices=("lambda", "pattern", "archimedean"),
                     default="lambda")
     sp.add_argument("--cap", type=int, default=None,
-                    help="cap on the search leaves (default: RELQ_CAP or 10^6)")
+                    help="cap on enumerated combinations (default: RELQ_CAP or 10^6)")
     _add_common(sp, "round", "comp")
     sp.set_defaults(func=cmd_solve)
 

@@ -9,8 +9,8 @@ The three enumeration methods run one search, ``cover_search`` from zeros,
 fewest binding rows first.  Its leaves are tested a block at a time and only
 the irredundant ones kept (each nonzero row alone covers some constraint at
 its attaining value); those are then swept for dominance within TOL.  Memory
-is one block plus the result.  The three names are one function, so they
-return the same arrays in the same order, and the cap counts the leaves.
+is one block plus the result.  The methods return the same arrays in the same
+order; lambda caps the product ∏|I_j| before searching, the others the leaves.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ DEFAULT_CAP = 10 ** 6
 
 
 def combinatorial_cap(cap=None):
-    """The cap on the search leaves: cap when given, else env
+    """The cap on enumerated binding combinations: cap when given, else env
     RELQ_CAP, else DEFAULT_CAP; either must be a positive integer."""
     name, given = ("cap", cap) if cap is not None else (
         "RELQ_CAP", os.environ.get("RELQ_CAP") or DEFAULT_CAP)
@@ -210,17 +210,20 @@ def _minimal(S):
 # Minimal solutions (see the module docstring)
 # ---------------------------------------------------------------------------
 
-def _cover_minimals(p: FreProblem, cap=None) -> SolutionSet:
-    """The minimal solutions of p: cover_search from zeros, its leaves tested
-    about CHUNK_CELLS test cells at a time and the survivors swept.  More
-    leaves than the cap raise CapExceeded."""
+def _cover_minimals(p: FreProblem, cap, message, lambda_bound=False) -> SolutionSet:
+    """cover_search from zeros, its leaves tested about CHUNK_CELLS test
+    cells at a time and the survivors swept.  The cap counts the leaves;
+    with ``lambda_bound`` the bound ∏|I_j| is refused before the search.
+    ``message`` formats the CapExceeded text with the cap."""
     cap = combinatorial_cap(cap)
     x_hat, sets, V = binding_columns(p)
+    if lambda_bound and math.prod(max(len(s), 1) for s in sets) > cap:
+        raise CapExceeded(message.format(cap))
     size, leaves, kept, seen = max(1, CHUNK_CELLS // V.size), [], [], count(1)
 
     def leaf(x):
         if next(seen) > cap:
-            raise CapExceeded(f"search leaves exceed cap {cap}")
+            raise CapExceeded(message.format(cap))
         leaves.append(x.copy())
         if len(leaves) == size:
             kept.append(_irredundant(np.array(leaves), V))
@@ -231,11 +234,21 @@ def _cover_minimals(p: FreProblem, cap=None) -> SolutionSet:
     return SolutionSet(True, x_hat, _minimal(np.concatenate(kept)), sets)
 
 
-# The three method names of the literature (binding-row combinations f ∈
-# I_1×…×I_n, matrix patterns, Archimedean candidates) run the one search.
-minimal_solutions_lambda = _cover_minimals
-minimal_solutions_matrix_pattern = _cover_minimals
-minimal_solutions_archimedean = _cover_minimals
+def minimal_solutions_lambda(p: FreProblem, cap=None) -> SolutionSet:
+    """Binding-row combinations f ∈ I_1×…×I_n, searched and filtered;
+    refused up front when ∏|I_j| (the λ-bound) exceeds the cap."""
+    return _cover_minimals(p, cap, "binding combinations exceed cap {}", lambda_bound=True)
+
+
+def minimal_solutions_matrix_pattern(p: FreProblem, cap=None) -> SolutionSet:
+    """The cover search with the cap on its leaves."""
+    return _cover_minimals(p, cap, "matrix-pattern branches exceed cap {}")
+
+
+def minimal_solutions_archimedean(p: FreProblem, cap=None) -> SolutionSet:
+    """The cover search with the cap on its leaves, as ``pattern`` runs it
+    (the search needs no Archimedean t-norm)."""
+    return _cover_minimals(p, cap, "candidate set exceeds cap {}")
 
 
 _METHODS = {

@@ -192,8 +192,6 @@ def test_round_flag_half_up(capsys, tmp_path):
 
 GOOD = {"A": [[0.5, 0.3], [0.7, 0.3]], "b": [0.5, 0.3]}
 TRAINING = {"inputs": [[0.5, 0.7]], "targets": [[0.5, 0.3]]}
-# rows 3j, 3j+1 and 3j+2 bind column j: the search has 27 leaves
-TWENTY_SEVEN_LEAVES = {"A": np.repeat(np.eye(3), 3, axis=0).tolist(), "b": [0.5] * 3}
 KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["m1"]},
              "observed_present": ["m1"]}
 
@@ -217,8 +215,8 @@ KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["
     # RELQ_CAP is read when no --cap is given, and a malformed one is an error
     (["solve"], GOOD, "abc", 1, "", "RELQ_CAP must be a positive integer"),
     (["solve", "--cap", "5"], GOOD, "abc", 0, '"feasible": true', ""),
-    (["solve"], TWENTY_SEVEN_LEAVES, "27", 0, '"feasible": true', ""),
-    (["solve"], TWENTY_SEVEN_LEAVES, "26", 1, "", "exceed cap 26"),
+    (["solve"], {"A": [[0.5] * 3] * 3, "b": [0.5] * 3}, "27", 0, '"feasible": true', ""),
+    (["solve"], {"A": [[0.5] * 3] * 3, "b": [0.5] * 3}, "26", 1, "", "exceed cap 26"),
     # --cap is checked as RELQ_CAP is
     (["solve", "--cap", "0"], GOOD, None, 1, "", "cap must be a positive integer, got 0"),
     # a ragged A is named as such

@@ -137,18 +137,17 @@ METHODS = [minimal_solutions_lambda, minimal_solutions_matrix_pattern,
            minimal_solutions_archimedean]
 
 
-def test_lambda_cap_counts_leaves():
-    # 8^8 binding combinations, but the first raised row covers every
-    # column: lambda, like the others, counts the search's 8 leaves
-    p = FreProblem(np.full((8, 8), 0.5), np.full(8, 0.5))
-    res = minimal_solutions_lambda(p, cap=10)
-    assert minimal_set_key(res.minimals) == minimal_set_key(0.5 * np.eye(8))
+def test_cap_exceeded():
+    A = np.full((8, 8), 0.5)
+    b = np.full(8, 0.5)
+    with pytest.raises(CapExceeded):
+        minimal_solutions_lambda(FreProblem(A, b), cap=10)
 
 
 @pytest.mark.parametrize("method", METHODS, ids=["lambda", "pattern", "archimedean"])
 def test_cap_at_the_count(method):
-    # rows 2j and 2j+1 bind column j: 2^8 minimal solutions from exactly 256
-    # leaves
+    # rows 2j and 2j+1 bind column j: 2^8 minimal solutions, and each method's
+    # count (combinations or leaves) is exactly 256
     A = np.zeros((16, 8))
     A[np.arange(16), np.arange(16) // 2] = 1.0
     p = FreProblem(A, np.full(8, 0.5), MaxProduct())
