@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import datasets
-from .grades import godel, kleene_dienes, tnorm_by_name
+from .grades import check_integer, godel, kleene_dienes, tnorm_by_name
 from .learn import (TrainerConfig, TrainingSet, delta_rule_B, delta_rule_J,
                     delta_rule_K, delta_rule_basic, smooth_derivative_train)
 from .neutro import NeutroRelation, neutro_compose, neutro_format
@@ -121,10 +121,8 @@ def _load_neutro(path, mode):
 
 def _problem_from_file(path, args):
     data = json.loads(_read_text(path))
-    comp = data.get("composition", args.comp)
-    if isinstance(comp, dict):
-        comp = f"sup-t:{comp.get('sup-t', {}).get('kind', 'min')}"
-    return FreProblem(data["A"], data["b"], composition_by_name(comp)), data
+    comp = composition_by_name(data.get("composition", args.comp))
+    return FreProblem(data["A"], data["b"], comp), data
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +182,8 @@ def cmd_learn(args):
     data = json.loads(_read_text(args.training))
     ts = TrainingSet(data["inputs"], data["targets"])
     cfg = TrainerConfig(eta=args.eta, epsilon=args.tol, tnorm=tnorm_by_name(args.tnorm))
+    if args.rule == "B" and cfg.tnorm.name != "min":  # Goedel's residuum, the min rule
+        raise ValueError("the B rule is defined for the min t-norm")
     res = _LEARNERS[args.rule](ts, cfg)
     return {"W": res.W, "converged": res.converged, "epochs": res.epochs,
             "error_trace": res.error_trace}, 0
@@ -316,6 +316,8 @@ def main(argv=None):
     if getattr(args, "alpha", None) is None and args.command == "demo":
         args.alpha = [1.0]
     try:
+        if getattr(args, "round", None) is not None:
+            check_integer("--round", args.round, 0)
         doc, code = args.func(args)
         _emit(doc, args)
         return code

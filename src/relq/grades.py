@@ -41,8 +41,8 @@ ZERO_DIST2 = 1e-18
 # A few ulp at 1: the bisection predicates compare t(a, x) with b within it,
 # and the drastic t-norm counts a grade within it of 1 as 1.
 ROUNDING = 1e-15
-# Rule K's repair check and convergence flag: looser than TOL, because a
-# residuum by bisection or through f and f⁻¹ carries their rounding.
+# Rule K's convergence flag: looser than TOL, because a residuum by
+# bisection or through f and f⁻¹ carries their rounding.
 REPAIR_TOL = 1e-7
 # kagei_type2_unique's image tie: images are mins of stored grades, so ties
 # are exact up to the rounding of bound - slack.
@@ -71,6 +71,12 @@ def check_grades(values, name="grades"):
         bad = float(values) if scalar else float(np.asarray(values)[~ok].flat[0])
         raise ValueError(f"{name} must be finite and lie in [0, 1], got {bad!r}")
     return min(1.0, max(0.0, float(values))) if scalar else np.clip(values, 0.0, 1.0)
+
+
+def check_integer(name, n, low):
+    """A ValueError naming name unless n is an integer (not a bool) of at least low."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {n!r}")
 
 
 def as_grades(values, size=None, name="grades", of="entries"):

@@ -1,7 +1,8 @@
 """Learners recovering the greatest solution W of A ∘ W = B from samples.
 
 Online weight-decrease rules for max-min and general sup-t systems, their
-closed-form counterparts, and a smooth-derivative gradient variant.
+closed form W_kj = min_i w_t(a_ik, b_ij) (Sanchez's greatest solution, w_t
+the residuum of t), and a smooth-derivative gradient variant.
 Inputs are p×n (rows a_i), targets p×m (rows b_i), W is n×m.
 """
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grades import MIN, REPAIR_TOL, STOP_TOL, TOL, TNorm, as_grades, godel
+from .grades import MIN, REPAIR_TOL, STOP_TOL, TOL, TNorm, as_grades, check_integer
 from .relations import SupT, as_grid, compose, inf_implication_compose, sup_t_compose
 
 
@@ -51,6 +52,7 @@ class TrainerConfig:
             raise ValueError("eta must lie in (0, 1]")
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon!r}")
+        check_integer("max_epochs", self.max_epochs, 1)
 
 
 @dataclass
@@ -126,38 +128,28 @@ def delta_rule_J(ts: TrainingSet, cfg: TrainerConfig) -> TrainResult:
 # Closed-form rules
 # ---------------------------------------------------------------------------
 
+def _greatest_solution(ts: TrainingSet, t: TNorm):
+    """W_kj = min_i w_t(a_ik, b_ij) over the samples, and its training error."""
+    W = inf_implication_compose(t.apply_residuum, ts.inputs.T, ts.targets)
+    return W, training_error(t, ts, W)
+
+
 def delta_rule_B(ts: TrainingSet) -> TrainResult:
-    """One sweep per sample: w_kj = min of the targets b_ij over samples
-    with a_ik > b_ij (empty set gives 1).  Order-free."""
-    W = inf_implication_compose(godel, ts.inputs.T, ts.targets)
-    err = training_error(MIN, ts, W)
+    """Max-min closed form: w_kj = min of the targets b_ij over samples with
+    a_ik > b_ij (empty set gives 1).  Order-free."""
+    W, err = _greatest_solution(ts, MIN)
     return TrainResult(W, err <= TOL, ts.p, [err])
 
 
-@dataclass
-class RuleKResult(TrainResult):
-    fallback_cells: list = field(default_factory=list)
-
-
-def delta_rule_K(ts: TrainingSet, t: TNorm) -> RuleKResult:
-    """One pass per sample: a violating weight snaps to the largest w with
-    t(w, a_ik) = b_ij.  Converges to the greatest solution when solvable."""
+def delta_rule_K(ts: TrainingSet, t: TNorm) -> TrainResult:
+    """Per sample, a violating weight snaps to the largest w with
+    t(w, a_ik) = b_ij: in closed form W_kj = min_i w_t(a_ik, b_ij), since a
+    violation t(W, a) > b needs a > b, and then t(w_t(a, b), a) = min(a, b)
+    = b for a continuous t.  The greatest solution when solvable."""
     if not t.continuous:
         raise ValueError("rule K needs a continuous t-norm")
-    W = np.ones((ts.n, ts.m))
-    fallback = []
-    for i in range(ts.p):
-        a = ts.inputs[i][:, None]
-        b = ts.targets[i]
-        cand = t.apply_residuum(a, b)
-        unrepaired = (t.apply(W, a) > b + TOL) & (np.abs(t.apply(cand, a) - b) > REPAIR_TOL)
-        fallback += [(i, int(k), int(j)) for k, j in np.argwhere(unrepaired)]
-        # clamp on the residuum itself rather than on the violation test so
-        # the final weight is bit-for-bit the minimum of the per-sample
-        # residua (the greatest solution)
-        W = np.minimum(W, cand)
-    err = training_error(t, ts, W)
-    return RuleKResult(W, err <= REPAIR_TOL, ts.p, [err], fallback)
+    W, err = _greatest_solution(ts, t)
+    return TrainResult(W, err <= REPAIR_TOL, ts.p, [err])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grades import (CLOSE_ATOL, CLOSE_RTOL, OBJECTIVE_SLACK, STOP_TOL, TOL, ZERO_DIST2,
-                     as_grades)
+                     as_grades, check_integer)
 from .relations import CHUNK_CELLS, as_grid, sup_t_compose
 from .solve import FreProblem, binding_columns, cover_search
 
@@ -33,12 +33,6 @@ def _finite(v, name):
     if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite, got {v[~np.isfinite(v)][0]}")
     return v
-
-
-def _integer(name, n, low):
-    """A ValueError naming name unless n is an integer (not a bool) of at least low."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
-        raise ValueError(f"{name} must be an integer of at least {low}, got {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +120,8 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        _integer("population_size", self.population_size, 1)
-        _integer("generations", self.generations, 0)
+        check_integer("population_size", self.population_size, 1)
+        check_integer("generations", self.generations, 0)
         if not 0.0 < self.selection_q < 1.0:
             raise ValueError("selection_q must lie in (0, 1)")
         for p in (self.mutation_prob, self.crossover_prob):
@@ -374,7 +368,7 @@ def fuzzy_c_means(points, C, m=2.0, tol=STOP_TOL, max_iter=300, rng_seed=0):
         raise ValueError(f"m must be finite and above 1, got {m!r}")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    _integer("max_iter", max_iter, 1)
+    check_integer("max_iter", max_iter, 1)
     rng = np.random.default_rng(rng_seed)
     U = rng.random((C, P))
     U /= U.sum(axis=0, keepdims=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grades import MIN, TOL, as_grades, godel
+from .grades import MIN, TOL, as_grades, check_integer, godel
 from .relations import (MaxMin, Relation, as_grid, compose, inf_implication_compose,
                         sup_t_compose)
 
@@ -174,6 +174,7 @@ def explain_at_least_k(R, Mplus, kk, imp=godel):
     grid = as_grid(R, "R")
     nd, nm = grid.shape
     Mplus = as_grades(Mplus, nm, "Mplus", "manifestations (columns of R)")
+    check_integer("k", kk, 0)
     if kk > nm:
         raise ValueError("k exceeds the number of manifestations")
     if kk == 0:

@@ -187,7 +187,7 @@ def composition_by_name(name):
         return MaxMin()
     if name == "max-product":
         return MaxProduct()
-    if name.startswith("sup-t:"):
+    if isinstance(name, str) and name.startswith("sup-t:"):
         return SupT(tnorm_by_name(name.split(":", 1)[1]))
     raise ValueError(f"unknown composition {name!r}")
 

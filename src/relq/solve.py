@@ -22,7 +22,8 @@ from itertools import count
 
 import numpy as np
 
-from .grades import FIT_SLACK, IMAGE_TIE, STOP_TOL, SUPPORT_DIGITS, TOL, TNorm, as_grades, godel
+from .grades import (FIT_SLACK, IMAGE_TIE, STOP_TOL, SUPPORT_DIGITS, TOL, TNorm, as_grades,
+                     check_integer, godel)
 from .relations import (
     CHUNK_CELLS, MaxMin, MaxProduct, SupT, Relation, as_grid, compose, inf_implication_compose,
     sup_t_compose,
@@ -406,6 +407,9 @@ def kagei_type2_unique(pairs, xdim, ydim, slack=STOP_TOL, max_sweeps=1000):
     pattern peaks strictly at the selected output (strictness via slack);
     all ones when there are no pairs.  Patterns, read up to ``xdim``, are
     the rows of one grid."""
+    check_integer("max_sweeps", max_sweeps, 1)
+    if not 0.0 <= slack < np.inf:
+        raise ValueError(f"slack must be finite and non-negative, got {slack!r}")
     if not pairs:
         return np.ones((xdim, ydim))
     pats = as_grid([np.ravel(p) for p, _ in pairs], "patterns")

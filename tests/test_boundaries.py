@@ -158,6 +158,20 @@ def test_an_explicit_cap_must_be_a_positive_integer(cap):
     (lambda: fuzzy_c_means([[0.0], [1.0]], 1, max_iter=0), "^max_iter must be an integer of at"),
     (lambda: TrainerConfig(epsilon=-1.0), "epsilon must be finite and non-negative"),
     (lambda: TrainerConfig(epsilon=np.nan), "epsilon must be finite and non-negative"),
+    (lambda: TrainerConfig(max_epochs=0), "^max_epochs must be an integer of at least 1, got 0"),
+    (lambda: TrainerConfig(max_epochs=-3), "^max_epochs must be an integer of at least 1"),
+    (lambda: TrainerConfig(max_epochs=2.5), "^max_epochs must be an integer of at least 1"),
+    (lambda: TrainerConfig(max_epochs=True), "^max_epochs must be an integer of at least 1"),
+    (lambda: kagei_type2_unique([(HALVES, 0)], 2, 2, max_sweeps=-1),
+     "^max_sweeps must be an integer of at least 1, got -1"),
+    (lambda: kagei_type2_unique([(HALVES, 0)], 2, 2, slack=-1.0),
+     "^slack must be finite and non-negative, got -1.0"),
+    (lambda: kagei_type2_unique([(HALVES, 0)], 2, 2, slack=np.nan),
+     "^slack must be finite and non-negative, got nan"),
+    (lambda: explain_at_least_k(A12, HALVES, -1), "^k must be an integer of at least 0, got -1"),
+    (lambda: explain_at_least_k(A12, HALVES, 1.5), "^k must be an integer of at least 0, got 1.5"),
+    (lambda: explain_at_least_k(A12, HALVES, True), "^k must be an integer of at least 0"),
+    (lambda: explain_at_least_k(A12, HALVES, 3), "^k exceeds the number of manifestations"),
     (lambda: alpha_cut([[0.5]], np.nan), "^alpha must be finite and lie in \\[0, 1\\], got nan"),
     (lambda: alpha_cut([[0.5]], np.inf), "^alpha must be finite and lie in \\[0, 1\\], got inf"),
     (lambda: alpha_cut([[0.5]], -1), "^alpha must be finite and lie in \\[0, 1\\], got -1"),
@@ -166,7 +180,10 @@ def test_an_explicit_cap_must_be_a_positive_integer(cap):
 ], ids=["ga-population-0", "ga-population-float", "ga-generations-negative", "fcm-C-0",
         "fcm-C-above-points", "fcm-nan-point", "fcm-1-d-points", "fcm-C-bool", "fcm-C-float",
         "fcm-m-nan", "fcm-m-inf", "fcm-tol-nan", "fcm-max-iter-0", "trainer-epsilon-negative",
-        "trainer-epsilon-nan", "alpha-cut-nan", "alpha-cut-inf", "alpha-cut-negative",
+        "trainer-epsilon-nan", "trainer-max-epochs-0", "trainer-max-epochs-negative",
+        "trainer-max-epochs-float", "trainer-max-epochs-bool", "kagei2-max-sweeps-negative",
+        "kagei2-slack-negative", "kagei2-slack-nan", "at-least-k-negative", "at-least-k-float",
+        "at-least-k-bool", "at-least-k-above-manifestations", "alpha-cut-nan", "alpha-cut-inf", "alpha-cut-negative",
         "properties-eps-nan", "properties-eps-above-1"])
 def test_algorithm_parameters_are_checked_where_they_enter(call, message):
     with pytest.raises(ValueError, match=message):

@@ -239,6 +239,17 @@ KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["
      "error: alpha must be finite and lie in [0, 1], got nan"),
     (["demo", "hiv-triangle", "--alpha", "-1"], None, None, 1, "",
      "error: alpha must be finite and lie in [0, 1], got -1.0"),
+    # rule B is Goedel's residuum: like basic, it takes only min
+    (["learn", "--rule", "B", "--tnorm", "product"], TRAINING, None, 1, "",
+     "error: the B rule is defined for the min t-norm"),
+    (["learn", "--rule", "basic", "--tnorm", "product"], TRAINING, None, 1, "",
+     "error: the basic rule is defined for the min t-norm"),
+    # a composition is a string: no dict form, no number
+    (["solve"], {**GOOD, "composition": {"max-product": {}}}, None, 1, "",
+     "error: unknown composition {'max-product': {}}"),
+    (["solve"], {**GOOD, "composition": 5}, None, 1, "", "error: unknown composition 5"),
+    (["demo", "compat-graph", "--round", "-1"], None, None, 1, "",
+     "error: --round must be an integer of at least 0, got -1"),
 ], ids=["solve-nan-in-A", "solve-A-above-1", "optimize-inf-in-b", "optimize-nan-cost",
         "optimize-inf-cost", "optimize-drastic",
         "optimize-infeasible", "solve-bad-env-cap", "solve-flag-cap-wins",
@@ -246,7 +257,8 @@ KNOWLEDGE = {"disorders": ["d1"], "manifestations": ["m1"], "certain": {"d1": ["
         "no-demo-mode-option", "no-solve-tol-option", "no-optimize-cap-option",
         "learn-ok", "no-learn-comp-option", "diagnose-ok", "no-diagnose-comp-option",
         "no-diagnose-round-option", "no-demo-comp-option", "demo-alpha-nan",
-        "demo-alpha-negative"])
+        "demo-alpha-negative", "learn-B-product", "learn-basic-product",
+        "solve-dict-composition", "solve-number-composition", "demo-round-negative"])
 def test_error_contract(capsys, monkeypatch, tmp_path, argv, problem, env, code,
                         out_has, err_has):
     if env is None:

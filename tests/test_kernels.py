@@ -199,9 +199,7 @@ def test_delta_rules_match_loops(t):
         A, W0 = tie_grid(rng, (p, n)), tie_grid(rng, (n, m))
         for B in (sup_t_image(t, A, W0), tie_grid(rng, (p, m))):
             res = delta_rule_K(TrainingSet(A, B), t)
-            W, fallback = delta_rule_K_loops(t, A, B)
-            assert np.array_equal(res.W, W)
-            assert res.fallback_cells == fallback
+            assert np.array_equal(res.W, delta_rule_K_loops(t, A, B)[0])
             if t is MIN:
                 assert np.array_equal(delta_rule_B(TrainingSet(A, B)).W, delta_rule_B_loops(A, B))
 
@@ -241,6 +239,35 @@ def test_generator_forms_match_cell_loops(name):
     assert np.array_equal(g.apply(a, b), t)
     assert np.array_equal(g.apply_residuum(a, b), residuum)
     assert np.array_equal(g.min_section_solution(a, b), section)
+
+
+# the 1 - u² generator's t(1, 5e-9) rounds to 0
+TINY = np.array([0.0, 5e-324, 1e-308, 5e-9])
+
+
+@pytest.mark.parametrize("t", [*CONTINUOUS, HAMACHER,
+                               GeneratorTNorm(*GENERATOR_PAIRS["square"], name="square")],
+                         ids=lambda t: t.name)
+def test_rule_K_residuum_repairs_every_violation(t):
+    # t(w_t(a, b), a) = min(a, b), and a violation t(W, a) > b + TOL needs
+    # a > b, so the one-sample-at-a-time rule never leaves a cell unrepaired
+    # and is the closed form; solvable targets, unsolvable ones, and
+    # solvable ones nudged by ±TOL/2 and ±0.9·TOL, on grids with tiny grades
+    rng = np.random.default_rng(10)
+    unsolved = []
+    for _ in range(3 if t is HAMACHER else 8):
+        p, n, m = (int(v) for v in rng.integers(1, 4, size=3))
+        A, W0 = (np.where(rng.random(shape) < 0.3, rng.choice(TINY, size=shape),
+                          tie_grid(rng, shape)) for shape in ((p, n), (n, m)))
+        B = sup_t_image(t, A, W0)
+        nudged = [np.clip(B + s * TOL, 0.0, 1.0) for s in (-0.9, -0.5, 0.5, 0.9)]
+        for targets in (B, tie_grid(rng, (p, m)), *nudged):
+            W, fallback = delta_rule_K_loops(t, A, targets)
+            assert fallback == []
+            res = delta_rule_K(TrainingSet(A, targets), t)
+            assert np.array_equal(res.W, W)
+            unsolved.append(not res.converged)
+    assert any(unsolved)
 
 
 def test_numpy_generator_takes_f_at_0_without_a_warning():
