@@ -273,7 +273,8 @@ def build_parser():
     sp.add_argument("--method", choices=("lambda", "pattern", "archimedean"),
                     default="lambda")
     sp.add_argument("--cap", type=int, default=None,
-                    help="cap on enumerated combinations (default: RELQ_CAP or 10^6)")
+                    help="cap on the minimal solutions emitted, or for lambda on the "
+                         "binding-row combinations (default: RELQ_CAP or 10^6)")
     _add_common(sp, "round", "comp")
     sp.set_defaults(func=cmd_solve)
 

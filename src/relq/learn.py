@@ -62,10 +62,6 @@ class TrainResult:
     epochs: int
     error_trace: list
 
-    @property
-    def error(self):
-        return self.error_trace[-1] if self.error_trace else None
-
 
 def sup_t_image(t: TNorm, A, W):
     """Row images A ∘ W under sup-t, checked as ``compose`` checks them."""

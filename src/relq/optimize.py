@@ -1,9 +1,8 @@
 """Optimization over fuzzy relational equation solution sets.
 
-Linear objectives are minimized exactly by the cover search of
-``relq.solve`` (constraints with one binding row forced first), started
-with the negative-cost rows at the greatest solution and cut by the best
-cost found.
+Linear objectives are minimized exactly by the minimal-cover search of
+``relq.solve`` that enumerates the minimal solutions, started with the
+negative-cost rows at the greatest solution and cut by the best cost found.
 Nonlinear objectives run through a feasibility-preserving genetic
 algorithm under any continuous sup-t, whose start box and repair come from
 the grid V of ``binding_columns``.  It breeds a whole generation as one
@@ -25,7 +24,7 @@ import numpy as np
 from .grades import (CLOSE_ATOL, CLOSE_RTOL, OBJECTIVE_SLACK, STOP_TOL, TOL, ZERO_DIST2,
                      as_grades, check_integer)
 from .relations import CHUNK_CELLS, as_grid, sup_t_compose
-from .solve import FreProblem, binding_columns, cover_search
+from .solve import FreProblem, binding_columns, minimal_covers
 
 
 def _finite(v, name):
@@ -51,32 +50,25 @@ class LinearFreProblem:
         _finite(self.c, "cost vector")
 
 
-def split_costs(c):
-    """c = c_plus + c_minus with c_plus >= 0 >= c_minus."""
-    c = np.asarray(c, float)
-    return np.maximum(c, 0.0), np.minimum(c, 0.0)
-
-
 def optimize_linear(p: LinearFreProblem):
     """Exact minimum of c·x over the solution set.
 
-    Negative-cost rows sit at the maximum solution; the remaining choice of
-    one binding row per constraint is the cover search, cut where the cost
-    so far reaches the best found (valid because raising a non-negative-cost
-    row never lowers the cost).
+    Negative-cost rows sit at the maximum solution; an optimum among the
+    rest is a minimal cover (``minimal_covers``) of what they leave,
+    searched with the branches cut where the cost reaches the best found
+    (raising a non-negative-cost row never lowers the cost).
     """
-    base, c = p.base, p.c
-    x_hat, sets, V = binding_columns(base)
-    best = {"x": None, "z": np.inf}
+    c = p.c
+    x_hat, _, V = binding_columns(p.base)
+    best = []
 
-    def leaf(x):
-        z = float(np.dot(c, x))
-        if z < best["z"] - OBJECTIVE_SLACK:
-            best["x"], best["z"] = x.copy(), z
+    def emit(x, z):
+        best[:] = [x[:]]
+        return z - OBJECTIVE_SLACK
 
-    cover_search(V, sets, np.where(c < 0.0, x_hat, 0.0), leaf,
-                 prune=lambda x: np.dot(c, x) >= best["z"] - OBJECTIVE_SLACK)
-    return best["x"], float(np.dot(c, best["x"]))
+    minimal_covers(V, np.where(c < 0.0, x_hat, 0.0), c, emit)
+    x = np.array(best[0])
+    return x, float(np.dot(c, x))
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +126,15 @@ class _GaContext:
     a (k, m) population array and makes its random draws for all rows at
     once; ``feasible`` repairs what crossover and mutation give into rows
     that solve the system.  They share x_hat, the binding sets I_j (row i in
-    I_j attains constraint j at x_hat_i) and min(V[i, j], x_hat_i), V from
-    ``binding_columns``, at which row i attains j without leaving [0, x_hat]."""
+    I_j attains constraint j at x_hat_i) and V[i, j] of ``binding_columns``
+    (capped at x_hat_i), at which row i attains j without leaving [0, x_hat]."""
 
     def __init__(self, p: FreProblem):
         self.t, self.A, self.b = p.tnorm(), p.A, p.b
         self.x_hat, _, V = binding_columns(p)
         # binding[j, i]: i in I_j; attain[j, i]: row i attains j from there up
         self.binding = np.isfinite(V).T
-        self.attain = np.minimum(V, self.x_hat[:, None]).T
+        self.attain = V.T
         # each row's largest attain (0 if none): [lb, x_hat] attains every j
         self.lb = np.where(self.binding, self.attain, 0.0).max(axis=0, initial=0.0)
         # the rows a mutation may lower: those sharing a binding set

@@ -5,27 +5,27 @@ three methods, fast solvability/uniqueness certificates, attainability
 classification, constrained greatest solutions, defuzzified rule extraction,
 and the specificity-shift estimator.
 
-The three enumeration methods run one search, ``cover_search`` from zeros,
-fewest binding rows first.  Its leaves are tested a block at a time and only
-the irredundant ones kept (each nonzero row alone covers some constraint at
-its attaining value); those are then swept for dominance within TOL.  Memory
-is one block plus the result.  The methods return the same arrays in the same
-order; lambda caps the product ∏|I_j| before searching, the others the leaves.
+The three enumeration methods run one search, ``minimal_covers`` from zeros,
+which emits each minimal solution once (MMCS over the attaining values of the
+grid V), so nothing is filtered afterwards; memory is the search stack plus
+the result.  The methods return the same arrays in the same (lexicographic)
+order; lambda caps the product ∏|I_j| before searching, the others the
+minimal solutions emitted.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
 from .grades import (FIT_SLACK, IMAGE_TIE, STOP_TOL, SUPPORT_DIGITS, TOL, TNorm, as_grades,
                      check_integer, godel)
 from .relations import (
-    CHUNK_CELLS, MaxMin, MaxProduct, SupT, Relation, as_grid, compose, inf_implication_compose,
+    MaxMin, MaxProduct, SupT, Relation, as_grid, compose, inf_implication_compose,
     sup_t_compose,
 )
 
@@ -115,7 +115,7 @@ class SolutionSet:
 
 
 # ---------------------------------------------------------------------------
-# Maximum solution, binding structure, cover search
+# Maximum solution, binding structure, minimal covers
 # ---------------------------------------------------------------------------
 
 def max_solution(p: FreProblem):
@@ -140,71 +140,73 @@ def binding_sets(p: FreProblem, x_hat):
 
 def binding_columns(p: FreProblem):
     """x_hat, the binding sets I_j, and the m×n grid V with V[i, j] the
-    smallest x_i with t(x_i, a_ij) = b_j for i in I_j, inf elsewhere;
-    raises InfeasibleError when the system has no solution."""
+    smallest x_i with t(x_i, a_ij) = b_j, capped at x_hat_i, for i in I_j,
+    inf elsewhere; raises InfeasibleError when the system has no solution."""
     x_hat = max_solution(p)
     if x_hat is None:
         raise InfeasibleError("system is infeasible")
     rows, js = np.nonzero(attains(p, x_hat))
     V = np.full(p.A.shape, np.inf)
-    V[rows, js] = p.tnorm().min_section_solution(p.A[rows, js], p.b[js])
+    V[rows, js] = np.minimum(p.tnorm().min_section_solution(p.A[rows, js], p.b[js]),
+                             x_hat[rows])
     return x_hat, [[i for i, v in enumerate(col) if v < math.inf] for col in V.T.tolist()], V
 
 
-def cover_search(V, sets, x, leaf, prune=None):
-    """Depth-first choice of one binding row per constraint, starting from x.
+def _bits(u):
+    """The positions of the set bits of u, lowest first."""
+    while u:
+        yield (u & -u).bit_length() - 1
+        u &= u - 1
 
-    Constraints go fewest binding rows (``sets[j]``, the finite cells of V)
-    first, in a stable order, so one with a single binding row forces it
-    before any branching.  A constraint that a row already covers (x_i >=
-    V[i, j] - TOL) is skipped, otherwise the search branches on raising each
-    binding row i to V[i, j].  ``leaf(x)`` sees every complete assignment (x
-    is reused: copy what you keep); a branch stops where ``prune(x)`` is true.
+
+def minimal_covers(V, x, c, emit):
+    """Each minimal cover of the constraints from x, once: MMCS (Murakami
+    and Uno, Discrete Appl. Math. 170, 2014) over the grid V.
+
+    A row with x_i > 0 is fixed there and covers its finite cells of V
+    (V <= x_hat); a cell V[i, j] <= TOL is covered at 0.  The other rows
+    give the elements (i, v): row i's finite V above TOL, sorted, merged
+    where neighbours lie within TOL, and v the largest of a group.  (i, v)
+    covers j when V[i, j] <= v + TOL, and it stays only while a column of
+    its group has no other cover, so each row takes one value and each cover
+    is minimal.  The search branches on the uncovered column with the fewest
+    candidates, each tried one leaving the candidates of its later siblings.
+    ``emit(x, z)`` sees each cover x (a list, reused) with its cost z = c·x,
+    c >= 0 on the free rows, and returns a bound that cuts the branches
+    costing as much or more.
     """
-    cols = sorted(zip(sets, V.T.tolist()), key=lambda c: len(c[0]))
+    z, x, c, covered, cols = float(c @ x), x.tolist(), c.tolist(), 0, [0] * V.shape[1]
+    rows, levels, hits, tight, cells = [], [], [], [], []  # per element, a row's in rising order
+    r, k = np.nonzero(V < math.inf)
+    for i, v, j in sorted(zip(r.tolist(), V[r, k].tolist(), k.tolist())):
+        if x[i] > 0.0 or v <= TOL:
+            covered |= 1 << j
+            continue
+        if not rows or rows[-1] != i or v > levels[-1] + TOL:
+            hits.append(hits[-1] if rows and rows[-1] == i else 0)
+            rows.append(i), levels.append(v), tight.append(0)
+        levels[-1], tight[-1], hits[-1] = v, tight[-1] | 1 << j, hits[-1] | 1 << j
+        cells.append((j, len(rows) - 1))
+    end = {i: e for e, i in enumerate(rows)}
+    for j, e in cells:  # j is covered by its group's element and the row's later ones
+        cols[j] |= (2 << end[rows[e]]) - (1 << e)
+    costs, bound = [c[i] * v for i, v in zip(rows, levels)], [math.inf]
 
-    def walk(pos):
-        if prune is not None and prune(x):
+    def walk(uncov, cand, z, crits):
+        # crits: per chosen element, the columns of its group no other covers
+        if not uncov:
+            bound[0] = emit(x, z)
             return
-        while pos < len(cols) and any(x[i] >= cols[pos][1][i] - TOL for i in cols[pos][0]):
-            pos += 1
-        if pos == len(cols):
-            leaf(x)
-            return
-        # the column is uncovered, so each of its rows sits below its value
-        rows, col = cols[pos]
-        for i in rows:
-            old = x[i]
-            x[i] = col[i]
-            walk(pos + 1)
-            x[i] = old
+        j = min(_bits(uncov), key=lambda j: (cols[j] & cand).bit_count())
+        for e in _bits(cols[j] & cand):
+            own, h = hits[e] & uncov & tight[e], ~hits[e]
+            if own and z + costs[e] < bound[0] and all(kept := [f & h for f in crits]):
+                x[rows[e]] = levels[e]
+                walk(uncov & h, cand, z + costs[e], kept + [own])
+                x[rows[e]] = 0.0
+            cand &= ~(1 << e)
 
-    walk(0)
-
-
-def _irredundant(X, V):
-    """The leaves (rows of X) whose every nonzero x_i is the only cover of
-    some constraint j (x >= V - TOL), and within TOL of V[i, j]."""
-    cover = X[:, :, None] >= V - TOL
-    sole = cover & (cover.sum(axis=1, keepdims=True) == 1) & (X[:, :, None] <= V + TOL)
-    return X[(sole.any(axis=2) | (X == 0.0)).all(axis=1)]
-
-
-def _minimal(S):
-    """S's rows in lexicographic order, swept forwards and then back: a row
-    goes when a kept one is <= it + TOL in every cell, so above TOL only where
-    the row is nonzero; one product per block of rows finds such pairs."""
-    S = S[np.lexsort(S.T[::-1])]
-    big, zero = (S > TOL).astype(np.float32), (S <= 0.0).astype(np.float32)
-    step, pairs, keep = max(1, CHUNK_CELLS // max(S.size, 1)), [], [True] * len(S)
-    for lo in range(0, len(S), step):
-        i, j = np.nonzero(big[lo:lo + step] @ zero.T == 0)
-        hit = (i + lo != j) & (S[i + lo] <= S[j] + TOL).all(axis=1)
-        pairs += zip((i[hit] + lo).tolist(), j[hit].tolist())
-    # i < j by rising j, then i > j by falling j; only a kept row drops one
-    for i, j in sorted(pairs, key=lambda p: (p[0] > p[1], p[1] if p[0] < p[1] else -p[1])):
-        keep[j] = keep[j] and not keep[i]
-    return list(S[keep])
+    walk(((1 << V.shape[1]) - 1) & ~covered, (1 << len(rows)) - 1, z, [])
 
 
 # ---------------------------------------------------------------------------
@@ -212,27 +214,24 @@ def _minimal(S):
 # ---------------------------------------------------------------------------
 
 def _cover_minimals(p: FreProblem, cap, message, lambda_bound=False) -> SolutionSet:
-    """cover_search from zeros, its leaves tested about CHUNK_CELLS test
-    cells at a time and the survivors swept.  The cap counts the leaves;
-    with ``lambda_bound`` the bound ∏|I_j| is refused before the search.
-    ``message`` formats the CapExceeded text with the cap."""
+    """The minimal covers from zeros, at most cap of them, in lexicographic
+    order; with ``lambda_bound`` the bound ∏|I_j| is refused before the
+    search.  ``message`` formats the CapExceeded text with the cap."""
     cap = combinatorial_cap(cap)
     x_hat, sets, V = binding_columns(p)
     if lambda_bound and math.prod(max(len(s), 1) for s in sets) > cap:
         raise CapExceeded(message.format(cap))
-    size, leaves, kept, seen = max(1, CHUNK_CELLS // V.size), [], [], count(1)
+    found = array("d")
 
-    def leaf(x):
-        if next(seen) > cap:
+    def emit(x, z):
+        if len(found) == cap * p.m:
             raise CapExceeded(message.format(cap))
-        leaves.append(x.copy())
-        if len(leaves) == size:
-            kept.append(_irredundant(np.array(leaves), V))
-            leaves.clear()
+        found.extend(x)
+        return math.inf
 
-    cover_search(V, sets, np.zeros(p.m), leaf)
-    kept.append(_irredundant(np.array(leaves).reshape(-1, p.m), V))
-    return SolutionSet(True, x_hat, _minimal(np.concatenate(kept)), sets)
+    minimal_covers(V, np.zeros(p.m), np.zeros(p.m), emit)
+    X = np.frombuffer(found).reshape(-1, p.m)
+    return SolutionSet(True, x_hat, list(X[np.lexsort(X.T[::-1])]), sets)
 
 
 def minimal_solutions_lambda(p: FreProblem, cap=None) -> SolutionSet:

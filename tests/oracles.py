@@ -428,6 +428,27 @@ def irredundant_loops(x, V, tol=TOL):
             return False
     return True
 
+def irredundant_chains_loops(x, V, tol=TOL):
+    """Whether every nonzero x_i is a finite V[i, k] and, for some constraint
+    j, the only row covering j (x_l >= V[l, j] - tol), with V[i, j] <= x_i
+    joined to x_i by values of row i of V at most tol apart."""
+    m, n = V.shape
+    for i in range(m):
+        if x[i] == 0.0:
+            continue
+        low = x[i]
+        for v in sorted((v for v in V[i] if v < x[i]), reverse=True):
+            if low > v + tol:
+                break
+            low = v
+        if x[i] not in V[i] or not any(
+                low <= V[i, j] <= x[i]
+                and [l for l in range(m) if x[l] >= V[l, j] - tol] == [i]
+                for j in range(n)):
+            return False
+    return True
+
+
 def dominates_pair(z1, z2, tol=1e-12):
     z1 = np.asarray(z1, float)
     z2 = np.asarray(z2, float)

@@ -5,7 +5,7 @@ from relq.optimize import (GaConfig, LinearFreProblem, ParetoArchive,
                            dominates, equivalence_reduce,
                            fuzzy_c_means, ga_crossover, ga_initialize,
                            ga_mutate, optimize_linear, optimize_multiobjective,
-                           optimize_nonlinear_ga, pseudo_char_matrix, split_costs)
+                           optimize_nonlinear_ga, pseudo_char_matrix)
 from relq.relations import MaxProduct, composition_by_name
 from relq.solve import FreProblem, max_solution, solve
 
@@ -17,13 +17,6 @@ def random_feasible(rng, m, n, decimals=2):
     x0 = np.round(rng.random(m), decimals)
     b = FreProblem(A, np.zeros(n)).lhs(x0)
     return FreProblem(A, b)
-
-
-def test_split_costs():
-    plus, minus = split_costs([2.0, -1.0, 0.0])
-    assert np.allclose(plus, [2, 0, 0])
-    assert np.allclose(minus, [0, -1, 0])
-    assert np.allclose(plus + minus, [2, -1, 0])
 
 
 def test_running_instance_optimum():
@@ -52,6 +45,19 @@ def test_optimize_matches_brute_force():
         x2, z2 = brute_force_linear(p)
         assert z1 == pytest.approx(z2, abs=1e-9)
         assert base.is_solution(x1)
+
+
+def test_a_nudged_system_keeps_every_row_under_x_hat():
+    # b_2 / a_2 lies above x_hat = b_1, and b_0 = 6e-10 is met at 0 but its
+    # section is 1: the attaining values are capped at x_hat, so x_hat is the
+    # one minimal solution and the optimum
+    p = FreProblem([[1.0, 0.0, 0.5]], [0.75 - 1.2e-10, 6e-10, 0.375 + 8.5e-10], MaxProduct())
+    lows = solve(p, "pattern").minimals
+    assert [x.tolist() for x in lows] == [[0.75 - 1.2e-10]]
+    assert all(p.is_solution(x) for x in lows)
+    x, z = optimize_linear(LinearFreProblem(p, [3.0]))
+    assert x.tolist() == [0.75 - 1.2e-10] and p.is_solution(x)
+    assert z == pytest.approx(2.25, abs=1e-9)
 
 
 def test_optimum_beats_all_grid_solutions():

@@ -1,15 +1,14 @@
-"""Minimal solutions, the dominance sweep, the Pareto archive, solution-set
-membership, the premise, pattern and irreflexivity checks and the fuzzy
-c-means membership update against their one-member-at-a-time loops, bit for
-bit.
+"""Minimal solutions, the Pareto archive, solution-set membership, the
+premise, pattern and irreflexivity checks and the fuzzy c-means membership
+update against brute-force oracles and one-member-at-a-time loops.
 
-``solve`` tests the leaves of the cover search a block at a time, keeps the
-irredundant ones and sweeps only those for dominance within TOL, so memory
-is one block plus the result.  The oracle sweeps every leaf.  The two agree
-unless attaining values sit between TOL and 2·TOL apart: there the oracle
-can drop a minimal solution on its way through a redundant leaf (a named
-case pins one), so such systems are judged against the oracle's sweep of
-the irredundant leaves.
+``solve`` emits each minimal cover of the grid V once (``minimal_covers``)
+and filters nothing afterwards.  On exact systems its minimal set is the
+loop dominance filter over the point of every binding-row combination, at
+``minimal_set_key``.  On systems nudged by up to 2·TOL, where attaining
+values can chain under TOL apart, the oracles disagree among themselves, so
+there each minimal must solve, none may dominate another, and each must be
+irredundant up to its row's chain of values (``irredundant_chains_loops``).
 
 Points sit on a 0.25 grid and are nudged around each tolerance in play: the
 filter's TOL (1e-9), the dominance slack (1e-12) and the np.isclose band
@@ -22,18 +21,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relq import optimize
 from relq.grades import LUKASIEWICZ, TOL, GeneratorTNorm
 from relq.optimize import ParetoArchive, dominates, fuzzy_c_means
 from relq.relations import MaxMin, MaxProduct, SupT
-from relq.solve import (FreProblem, _minimal, binding_columns, cover_search,
-                        irreflexivity_condition, kagei_type2_unique, max_solution, solve,
-                        sre_solvability_criteria)
+from relq.solve import (FreProblem, binding_columns, irreflexivity_condition,
+                        kagei_type2_unique, max_solution, solve, sre_solvability_criteria)
 
-from .oracles import (contains_loops, contradictory_pairs_loops, dominance_filter_loops,
-                      dominates_pair, fuzzy_c_means_loops, irredundant_loops,
-                      irreflexivity_loops, pareto_add_loops, sre_solvability_loops)
+from .oracles import (_combination_points, contains_loops, contradictory_pairs_loops,
+                      dominance_filter_loops, dominates_pair, fuzzy_c_means_loops,
+                      irredundant_chains_loops, irredundant_loops, irreflexivity_loops,
+                      minimal_set_key, pareto_add_loops, product_minimals,
+                      sre_solvability_loops)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 SCALES = (0.0, 0.5, -0.5, 0.9, -0.9, 2.0, -2.0)
@@ -56,49 +58,86 @@ COMPS = [MaxMin(), MaxProduct(), SupT(LUKASIEWICZ), SupT(SQUARE)]
 
 
 def leaves_and_grid(p):
-    """Every leaf of the cover search from zeros, and the grid V."""
-    _, sets, V = binding_columns(p)
-    leaves = []
-    cover_search(V, sets, np.zeros(p.m), lambda x: leaves.append(x.copy()))
-    return leaves, V
+    """The point of every binding-row combination from zeros, and the grid V."""
+    return list(_combination_points(p, np.zeros_like, 10 ** 5)), binding_columns(p)[2]
 
 
 def filtered_leaves(p):
-    """The pairwise dominance filter over every leaf of the cover search."""
+    """The pairwise dominance filter over every combination point."""
     return dominance_filter_loops(leaves_and_grid(p)[0])
 
 
-def filtered_irredundant_leaves(p):
-    """The pairwise dominance filter over the irredundant leaves."""
-    leaves, V = leaves_and_grid(p)
-    return dominance_filter_loops([x for x in leaves if irredundant_loops(x, V)])
-
-
-def methods_match(p, want):
-    for method in ("lambda", "pattern", "archimedean"):
+def methods_match(p):
+    """The minimal solutions, the same arrays in the same order by every method."""
+    want = solve(p, "pattern").minimals
+    for method in ("lambda", "archimedean"):
         assert same_arrays(solve(p, method).minimals, want), method
     return want
 
 
+def check_nudged(p, lows):
+    """Each minimal solves and is irredundant up to its row's chain of
+    values, and none dominates another."""
+    V = binding_columns(p)[2]
+    for x in lows:
+        assert p.is_solution(x) and irredundant_chains_loops(x, V)
+        assert not any(np.all(y <= x + TOL) and np.any(y < x - TOL) for y in lows)
+
+
+def grid_problem(m, n, steps, comp, seed, nudge=False):
+    """A, then x, drawn on a grid of 1/steps, b = x∘A; with ``nudge``, each
+    b_j then moved by 0, ±0.5·TOL or ±0.9·TOL."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, steps + 1, (m, n)) / steps
+    b = FreProblem(A, np.zeros(n), comp).lhs(rng.integers(0, steps + 1, m) / steps)
+    if nudge:
+        b = np.clip(b + TOL * rng.choice(SCALES[:5], size=n), 0.0, 1.0)
+    return FreProblem(A, b, comp)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([2, 4, 10]),
+       st.sampled_from(COMPS[:3]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_minimals_on_exact_grids_match_the_product_oracle(m, n, steps, comp, seed):
+    p = grid_problem(m, n, steps, comp, seed)
+    lows = methods_match(p)
+    assert minimal_set_key(lows) == minimal_set_key(product_minimals(p))
+    V = binding_columns(p)[2]
+    assert all(irredundant_loops(x, V) for x in lows)
+    far = [not np.all(np.abs(x - y) <= TOL) for x, y in itertools.combinations(lows, 2)]
+    assert all(far)
+
+
+@given(st.integers(1, 6), st.integers(1, 8), st.sampled_from([2, 4, 10]),
+       st.sampled_from(COMPS[:3]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_minimals_on_nudged_grids_solve_and_are_irredundant(m, n, steps, comp, seed):
+    p = grid_problem(m, n, steps, comp, seed, nudge=True)
+    assume(max_solution(p) is not None)
+    check_nudged(p, methods_match(p))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_minimals_match_filtered_leaves(seed):
+    # A nudged around the grid, b the image of a grid point
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     comp = COMPS[seed % 4]
     A = np.clip(nudged(rng, (m, n), TOL), 0.0, 1.0)
     b = FreProblem(A, np.zeros(n), comp).lhs(rng.choice(GRID, size=m))
     p = FreProblem(A, b, comp)
-    methods_match(p, filtered_leaves(p))
+    check_nudged(p, methods_match(p))
 
 
 def test_minimals_merge_ties_that_do_not_sort_together():
     # two minimal solutions equal within TOL, [0.8, 0, 0.7, 0.8 + 2e-16, 0, 0, 0]
-    # and its mirror, sort with two others between them: one of them goes
+    # and its mirror, would sort with two others between them: one comes out
     A = [[.8, .4, .9, 1], [0, .1, .9, .9], [.9, 1, .2, .6], [.8, .8, 1, .3],
          [.6, .5, 1, .6], [0, .7, .5, .8], [.7, .1, .7, .4]]
     b = FreProblem(A, np.zeros(4), MaxProduct()).lhs([.2, .3, .2, .8, .7, 1, .5])
     p = FreProblem(A, b, MaxProduct())
-    lows = np.array(methods_match(p, filtered_leaves(p)))
+    lows = np.array(methods_match(p))
+    assert minimal_set_key(lows) == minimal_set_key(filtered_leaves(p))
     assert len(lows) == 10
     below = np.all(lows[:, None] <= lows[None] + TOL, axis=2)
     assert not below[~np.eye(10, dtype=bool)].any()
@@ -106,34 +145,43 @@ def test_minimals_merge_ties_that_do_not_sort_together():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_dominance_filter_matches_loops(seed):
+    # exact grid systems with ties: the minimal set is the loop dominance
+    # filter over every combination point, and that filter keeps it whole
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 6))
-    cands = list(nudged(rng, (int(rng.integers(1, 80)), m), TOL))
-    cands += [c.copy() for c in cands[:5]]  # exact duplicates
-    assert same_arrays(_minimal(np.array(cands)), dominance_filter_loops(cands))
+    m, n, comp = int(rng.integers(1, 6)), int(rng.integers(1, 6)), COMPS[seed % 4]
+    A = rng.choice(GRID, size=(m, n))
+    p = FreProblem(A, FreProblem(A, np.zeros(n), comp).lhs(rng.choice(GRID, size=m)), comp)
+    lows = methods_match(p)
+    assert minimal_set_key(lows) == minimal_set_key(filtered_leaves(p))
+    assert same_arrays(dominance_filter_loops(lows), lows)
 
 
 def test_dominance_filter_small_cases():
-    cands = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
-    assert [c.tolist() for c in _minimal(cands)] == [[0.0, 0.5], [0.5, 0.0]]
-    assert _minimal(np.empty((0, 2))) == []
-    # values 0.8·TOL apart chain: the first row drops the second but not the
-    # third, 1.6·TOL away, so both ends stay
-    chain = 0.5 + TOL * np.array([[0.0, 0.0], [0.8, -0.8], [1.6, -1.6]])
-    assert same_arrays(_minimal(chain), [chain[0], chain[2]])
-    assert same_arrays(_minimal(chain), dominance_filter_loops(list(chain)))
+    # two rows that each cover both columns: two minimal solutions, in
+    # lexicographic order, and not the point that raises both
+    p = FreProblem([[1.0, 1.0], [1.0, 1.0]], [0.5, 0.5])
+    assert [x.tolist() for x in solve(p).minimals] == [[0.0, 0.5], [0.5, 0.0]]
+    # nothing to raise: zero alone
+    assert [x.tolist() for x in solve(FreProblem([[0.5, 1.0]], [0.0, 0.0])).minimals] == [[0.0]]
+    # attaining values 0.8·TOL apart chain into one value of the row, its
+    # largest, although the chain is wider than TOL
+    chain = 0.5 + TOL * np.array([0.0, 0.8, 1.6])
+    p = FreProblem([chain], chain)
+    assert [x.tolist() for x in solve(p).minimals] == [[chain[2]]]
+    assert p.is_solution([chain[2]])
 
 
 def test_minimals_drop_a_row_lower_elsewhere():
-    # attaining values 0.8·TOL to 1.6·TOL apart: the leaf [0, v, 0.6, w, 0]
-    # passes the per-leaf test, but [0, 0, v, w, 0] with v = 0.6 + 0.8·TOL
-    # is <= it + TOL in every cell, and it goes
+    # attaining values 0.8·TOL to 1.6·TOL apart: a row raised for one
+    # constraint can sit just under another row's value elsewhere
     A = np.array([[0.6, 0.8, 1, 0.5, 1], [1, 0.5, 0.5, 0.8, 1], [0.8, 0.6, 0.5, 0.8, 0.8],
                   [0.5, 0.5, 1, 0.5, 1], [1, 0.6, 0.6, 0.8, 0.6]])
     A += TOL * np.array([[-0.5, 0, 0, 0, 0], [-0.5, -1.6, 0, 0, -1.6], [0.8, 0, 0.3, 0, -0.8],
                          [0, -1.6, 0, 0.5, 0], [0, 0, 0, 0, 0]])
     p = FreProblem(A, 0.6 + TOL * np.array([0.8, 0.0, 0.3, 1.6, 1.2]), MaxMin())
-    assert len(methods_match(p, filtered_leaves(p))) == 6
+    lows = methods_match(p)
+    check_nudged(p, lows)
+    assert len(lows) == 6
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -148,13 +196,13 @@ def test_minimals_with_chained_attaining_values(seed):
         p = FreProblem(A, np.clip(b + TOL * rng.choice(SCALES[:5], size=n), 0.0, 1.0), comp)
         if max_solution(p) is not None:
             break
-    methods_match(p, filtered_irredundant_leaves(p))
+    check_nudged(p, methods_match(p))
 
 
 def test_minimals_keep_an_irredundant_solution_the_leaf_filter_drops():
-    # the filter over every leaf keeps a redundant leaf on its way forwards,
-    # drops a minimal solution r with it, then drops that leaf on the way
-    # back: no solution it returns is <= r + TOL, so its union misses r
+    # a dominance filter over every leaf of a search that emits redundant
+    # leaves dropped the solution r on its way through them; the search
+    # filters nothing, and r is in the union of its intervals
     A = [[0.5, 0.75, 0.5, 0.75, 0.75, 0.75, 1.0, 0.75],
          [0.5, 0.5, 0.75, 0.75, 0.5, 1.0, 0.5, 1.0],
          [0.75, 0.75, 0.5, 0.5, 0.75, 0.75, 0.5, 0.5],
@@ -162,13 +210,10 @@ def test_minimals_keep_an_irredundant_solution_the_leaf_filter_drops():
          [0.5, 1.0, 0.75, 0.75, 0.5, 1.0, 1.0, 1.0],
          [0.5, 1.0, 1.0, 0.75, 0.75, 0.75, 0.5, 1.0]]
     p = FreProblem(A, 0.75 + TOL * np.array([0.5, 0.9, 0, 0, -0.5, -0.5, -0.9, -0.5]), MaxMin())
-    got = methods_match(p, filtered_irredundant_leaves(p))
-    old = filtered_leaves(p)
-    assert len(got) == 10 and len(old) == 9
-    r = [x for x in got if not any(x.tobytes() == y.tobytes() for y in old)]
-    assert len(r) == 1 and p.is_solution(r[0])
-    assert not any(np.all(y <= r[0] + TOL) for y in old)
-    assert solve(p).contains(r[0])
+    lows = methods_match(p)
+    check_nudged(p, lows)
+    r = np.array([0.75 - 0.5 * TOL, 0.0, 0.75 + 0.5 * TOL, 0.75 - 0.9 * TOL, 0.0, 0.0])
+    assert len(lows) == 7 and p.is_solution(r) and solve(p).contains(r)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,5 +1,5 @@
-import importlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from relq.grades import LUKASIEWICZ, MIN, PRODUCT, godel
 from relq.relations import MaxMin, MaxProduct, Relation, SupT
 from relq.solve import (CapExceeded, FreProblem, InfeasibleError,
                         binding_columns, binding_sets, classify_attainability,
-                        combinatorial_cap, constrained_greatest, cover_search,
+                        combinatorial_cap, constrained_greatest, minimal_covers,
                         gavalec_certificate, greatest_solution_relation, kagei_type1,
                         kagei_type2_unique, max_solution,
                         minimal_solutions_archimedean,
@@ -22,8 +22,6 @@ from .oracles import (archimedean_buildup, grid_in_union, grid_solutions, minima
                       product_minimals)
 
 GRID5 = [0.0, 0.25, 0.5, 0.75, 1.0]
-# the module, not the function relq.solve that the package re-exports
-solve_module = importlib.import_module("relq.solve")
 
 
 def test_max_solution_identity():
@@ -166,13 +164,20 @@ def test_cover_search_skips_covered_columns_and_prunes():
     x_hat, sets, V = binding_columns(p)
     assert sets == [list(range(7))] * 7
     assert V.tolist() == np.ones((7, 7)).tolist()
-    leaves = []
-    cover_search(V, sets, np.zeros(7), lambda x: leaves.append(x.copy()))
-    assert minimal_set_key(leaves) == minimal_set_key(np.eye(7))
-    leaves = []
-    cover_search(V, sets, np.zeros(7), lambda x: leaves.append(x.copy()),
-                 prune=lambda x: x[0] > 0)
-    assert minimal_set_key(leaves) == minimal_set_key(np.eye(7)[1:])
+
+    def covers(x, c, bound=math.inf):
+        found = []
+        minimal_covers(V, np.array(x, float), np.array(c, float),
+                       lambda x, z: found.append(x[:]) or bound)
+        return found
+
+    # each row covers every column, so each is a cover, and once
+    assert covers(np.zeros(7), np.zeros(7)) == np.eye(7).tolist()
+    # a fixed row covers its columns, and the rest have nothing left to do
+    assert covers(np.eye(7)[3], np.zeros(7)) == [np.eye(7)[3].tolist()]
+    # once a cover is found, a branch costing the bound or more is cut: row 6,
+    # tried last, costs 1 and the others nothing
+    assert covers(np.zeros(7), np.eye(7)[6], bound=1.0) == np.eye(7)[:6].tolist()
 
 
 def test_binding_grid_is_inf_off_the_binding_sets():
@@ -181,28 +186,6 @@ def test_binding_grid_is_inf_off_the_binding_sets():
     x_hat, sets, V = binding_columns(p)
     assert sets == [[0, 1], [0]]
     assert V.tolist() == [[1.0, 1.0], [0.5 / 0.7, np.inf]]
-
-
-@pytest.mark.parametrize("per_block", [1, 3])
-@pytest.mark.parametrize("method", METHODS, ids=["lambda", "pattern", "archimedean"])
-def test_leaf_blocks_do_not_change_the_result(method, per_block, monkeypatch):
-    # the cap-count system (256 leaves) and tie-heavy grid systems, the
-    # leaves tested one and three at a time
-    A = np.zeros((16, 8))
-    A[np.arange(16), np.arange(16) // 2] = 1.0
-    systems = [FreProblem(A, np.full(8, 0.5), MaxProduct())]
-    systems += [grid_system(np.random.default_rng(seed), 10, 10, 2, SupT(t))
-                for seed in range(4) for t in (PRODUCT, LUKASIEWICZ)]
-    want = [method(p).minimals for p in systems]
-    for p, w in zip(systems, want):
-        monkeypatch.setattr(solve_module, "CHUNK_CELLS", per_block * p.m * p.n)
-        got = method(p).minimals
-        assert len(got) == len(w)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, w))
-    monkeypatch.setattr(solve_module, "CHUNK_CELLS", per_block * 16 * 8)
-    with pytest.raises(CapExceeded):
-        method(systems[0], cap=255)
-    assert len(method(systems[0], cap=256).minimals) == 256
 
 
 @pytest.mark.parametrize("method", METHODS, ids=["lambda", "pattern", "archimedean"])
