@@ -341,19 +341,6 @@ def crisp_material(a, b):
     return _out(np.where((a > 0.5) & (b < 0.5), 0.0, 1.0))
 
 
-class Residuum:
-    """The adjoint implication of a t-norm: w_t(a,b) = sup{x : t(a,x) <= b}."""
-
-    def __init__(self, t: TNorm):
-        self.t = t
-
-    def __call__(self, a, b):
-        return _out(self.t.apply_residuum(a, b))
-
-    def __repr__(self):
-        return f"<residuum of {self.t.name}>"
-
-
 _IMPLICATIONS = {
     "godel": godel,
     "lukasiewicz": lukasiewicz_implication,
@@ -367,7 +354,7 @@ def implication_by_name(name, tnorm=None):
     if name == "residuum":
         if tnorm is None:
             raise ValueError("residuum implication needs a t-norm")
-        return Residuum(tnorm)
+        return tnorm.residuum
     try:
         return _IMPLICATIONS[name]
     except KeyError:

@@ -85,19 +85,6 @@ def pseudo_char_matrix(A, b):
     return out
 
 
-def equivalence_reduce(A, b):
-    """Zero the unusable high cells: if b_j1 > b_j2, a_ij1 >= b_j1 and
-    a_ij2 > b_j2 then row i can never serve constraint j1, so a_ij1 is
-    equivalently 0.  Solution set is preserved (max-min)."""
-    A = as_grid(A, "A").copy()
-    b = as_grades(b, A.shape[1], "b", "columns of A")
-    # zeroing a cell never removes the smallest-b witness of its row, so
-    # one pass against that witness gives the fixed point
-    low = np.where(A > b + TOL, b, np.inf).min(axis=1, initial=np.inf, keepdims=True)
-    A[(A >= b - TOL) & (A > TOL) & (b > low + TOL)] = 0.0
-    return A
-
-
 # ---------------------------------------------------------------------------
 # Genetic algorithm (feasibility preserving, any continuous sup-t)
 # ---------------------------------------------------------------------------
@@ -191,31 +178,6 @@ def _start(p: FreProblem, cfg: GaConfig):
     rng = np.random.default_rng(cfg.rng_seed)
     box = ctx.lb + rng.random((cfg.population_size, p.m)) * (ctx.x_hat - ctx.lb)
     return ctx, rng, ctx.feasible(box, rng)
-
-
-def _point(p: FreProblem, x):
-    """x, checked as grades of the m rows, as a one-row population."""
-    return as_grades(x, p.m, "x", "rows of A")[None]
-
-
-def ga_initialize(p: FreProblem, cfg: GaConfig):
-    """Initial GA population: feasible points in the box [lb, x_hat]."""
-    return list(_start(p, cfg)[2])
-
-
-def ga_mutate(x, p: FreProblem, rng):
-    """One feasible mutation of x (see ``_GaContext.mutate``), repaired
-    sparing the lowered coordinate."""
-    ctx = _GaContext(p)
-    X, k = ctx.mutate(_point(p, x), rng)
-    return ctx.feasible(X, rng, k)[0]
-
-
-def ga_crossover(x1, x2, superpoint, rng, p: FreProblem):
-    """Two feasible children of x1 and x2 (see ``_GaContext.crossover``)."""
-    ctx = _GaContext(p)
-    kids = ctx.crossover(*(_point(p, v) for v in (x1, x2, superpoint)), rng)
-    return tuple(ctx.feasible(kids, rng))
 
 
 def _rank_probabilities(n, q):

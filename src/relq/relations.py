@@ -2,8 +2,9 @@
 
 A Relation is a thin immutable wrapper around a float matrix with all cells
 in [0, 1].  Compositions are parameterized: max-min, max-product, sup-t for
-an arbitrary t-norm, and inf-implication.  Two array kernels compute every
-composition: ``sup_t_compose`` (max over j of t(P[i,j], Q[j,k]), through
+an arbitrary t-norm, and inf-implication.  ``compose`` is the public entry;
+two internal array kernels, which take float grids already checked, compute
+every composition: ``sup_t_compose`` (max over j of t(P[i,j], Q[j,k]), through
 the t-norm's ``apply``) and ``inf_implication_compose`` (min over j of
 imp(P[i,j], Q[j,k]); with a residuum as imp this is the Sanchez greatest
 solution).  Both work on a block of rows of P and a slice of the middle
@@ -28,8 +29,7 @@ from .grades import MIN, PRODUCT, TOL, TNorm, check_grades, godel
 
 __all__ = [
     "Relation", "MaxMin", "MaxProduct", "SupT", "InfImplication",
-    "composition_by_name", "compose", "sup_t_compose", "inf_implication_compose",
-    "relational_join", "transpose",
+    "composition_by_name", "compose", "relational_join", "transpose",
     "alpha_cut", "relation_properties", "transitive_closure", "identity",
 ]
 
@@ -228,7 +228,8 @@ def _chunked(op, reduce, P, Q):
 
 
 def sup_t_compose(t: TNorm, P, Q):
-    """Array kernel: out[i,k] = max_j t(P[i,j], Q[j,k]) on float grids.
+    """Array kernel: out[i,k] = max_j t(P[i,j], Q[j,k]) on float grids
+    already checked (``compose`` is the entry that checks them).
 
     Above one block, from _SORT_MID middle indices on, each block of rows
     takes its j's in descending order of P[i, j], about 8 at a time, and
@@ -261,7 +262,8 @@ def sup_t_compose(t: TNorm, P, Q):
 
 
 def inf_implication_compose(imp, P, Q):
-    """Array kernel: out[i,k] = min_j imp(P[i,j], Q[j,k]) on float grids."""
+    """Array kernel: out[i,k] = min_j imp(P[i,j], Q[j,k]) on float grids
+    already checked, as for ``sup_t_compose``."""
     return _chunked(imp, np.minimum, P, Q)
 
 

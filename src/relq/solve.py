@@ -213,19 +213,19 @@ def minimal_covers(V, x, c, emit):
 # Minimal solutions (see the module docstring)
 # ---------------------------------------------------------------------------
 
-def _cover_minimals(p: FreProblem, cap, message, lambda_bound=False) -> SolutionSet:
+def _cover_minimals(p: FreProblem, cap, lambda_bound=False) -> SolutionSet:
     """The minimal covers from zeros, at most cap of them, in lexicographic
     order; with ``lambda_bound`` the bound ∏|I_j| is refused before the
-    search.  ``message`` formats the CapExceeded text with the cap."""
+    search.  Each CapExceeded text names what exceeded the cap."""
     cap = combinatorial_cap(cap)
     x_hat, sets, V = binding_columns(p)
     if lambda_bound and math.prod(max(len(s), 1) for s in sets) > cap:
-        raise CapExceeded(message.format(cap))
+        raise CapExceeded(f"binding combinations exceed cap {cap}")
     found = array("d")
 
     def emit(x, z):
         if len(found) == cap * p.m:
-            raise CapExceeded(message.format(cap))
+            raise CapExceeded(f"minimal solutions exceed cap {cap}")
         found.extend(x)
         return math.inf
 
@@ -235,20 +235,20 @@ def _cover_minimals(p: FreProblem, cap, message, lambda_bound=False) -> Solution
 
 
 def minimal_solutions_lambda(p: FreProblem, cap=None) -> SolutionSet:
-    """Binding-row combinations f ∈ I_1×…×I_n, searched and filtered;
-    refused up front when ∏|I_j| (the λ-bound) exceeds the cap."""
-    return _cover_minimals(p, cap, "binding combinations exceed cap {}", lambda_bound=True)
+    """The cover search, refused up front when the number of binding-row
+    combinations f ∈ I_1×…×I_n, ∏|I_j| (the λ-bound), exceeds the cap."""
+    return _cover_minimals(p, cap, lambda_bound=True)
 
 
 def minimal_solutions_matrix_pattern(p: FreProblem, cap=None) -> SolutionSet:
-    """The cover search with the cap on its leaves."""
-    return _cover_minimals(p, cap, "matrix-pattern branches exceed cap {}")
+    """The cover search with the cap on the minimal solutions it emits."""
+    return _cover_minimals(p, cap)
 
 
 def minimal_solutions_archimedean(p: FreProblem, cap=None) -> SolutionSet:
-    """The cover search with the cap on its leaves, as ``pattern`` runs it
-    (the search needs no Archimedean t-norm)."""
-    return _cover_minimals(p, cap, "candidate set exceeds cap {}")
+    """The cover search with the cap on the minimal solutions it emits, as
+    ``pattern`` runs it (the search needs no Archimedean t-norm)."""
+    return _cover_minimals(p, cap)
 
 
 _METHODS = {

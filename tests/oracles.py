@@ -39,14 +39,11 @@ def brute_solvable_unique(A, b, grid):
     of A against b) by exhaustive grid enumeration."""
     A = np.asarray(A, float)
     b = np.asarray(b, float).ravel()
-    m, n = A.shape
-    sols = []
-    for combo in itertools.product(grid, repeat=n):
-        x = np.array(combo, float)
-        lhs = np.array([np.max(np.minimum(A[i], x)) for i in range(m)])
-        if np.all(np.abs(lhs - b) <= 1e-9):
-            sols.append(x)
-    return len(sols) > 0, len(sols) == 1
+    # every grid point x at once, one row each; lhs[k, i] = max_j min(a_ij, x_j)
+    X = np.array(list(itertools.product(grid, repeat=A.shape[1])), float)
+    lhs = np.minimum(A[None], X[:, None, :]).max(axis=2)
+    count = int(np.all(np.abs(lhs - b) <= 1e-9, axis=1).sum())
+    return count > 0, count == 1
 
 
 def minimal_set_key(minimals, ndig=9):
@@ -55,7 +52,9 @@ def minimal_set_key(minimals, ndig=9):
 
 def _combination_points(p: FreProblem, start, cap):
     """For every binding-row combination f ∈ I_1×…×I_n, the point that raises
-    each chosen row f(j) from start(x_hat) to its attaining value of j."""
+    each chosen row f(j) from start(x_hat) to its attaining value of j,
+    capped at x_hat as ``binding_columns`` caps it (on a TOL-nudged system
+    the uncapped value can leave [0, x_hat])."""
     x_hat = max_solution(p)
     if x_hat is None:
         raise InfeasibleError("infeasible")
@@ -65,7 +64,7 @@ def _combination_points(p: FreProblem, start, cap):
         size *= max(len(s), 1)
     if size > cap:
         raise RuntimeError(f"combination count {size} exceeds cap {cap}")
-    vals = {(i, j): attain_value(p, i, j) for j, s in enumerate(sets) for i in s}
+    vals = {(i, j): min(attain_value(p, i, j), x_hat[i]) for j, s in enumerate(sets) for i in s}
     for f in itertools.product(*sets):
         x = start(x_hat)
         for j, i in enumerate(f):
@@ -88,8 +87,9 @@ def product_minimals(p: FreProblem, cap=10 ** 4):
 
 def archimedean_buildup(p: FreProblem):
     """Minimal solutions built up one constraint at a time: each partial
-    point is raised by every binding row of the next constraint, and the
-    level is cut back to its minimal elements before the next one."""
+    point is raised by every binding row of the next constraint (to its
+    attaining value, capped at x_hat), and the level is cut back to its
+    minimal elements before the next one."""
     x_hat = max_solution(p)
     if x_hat is None:
         raise InfeasibleError("infeasible")
@@ -99,7 +99,7 @@ def archimedean_buildup(p: FreProblem):
         for base in partial:
             for i in s:
                 x = base.copy()
-                x[i] = max(x[i], attain_value(p, i, j))
+                x[i] = max(x[i], min(attain_value(p, i, j), x_hat[i]))
                 level.append(x)
         partial = dominance_filter_loops(level)
     return partial
@@ -377,8 +377,9 @@ def gavalec_loops(A, b):
 
 
 def equivalence_reduce_loops(A, b):
-    """Zero a_ij1 (a_ij1 >= b_j1 > 0) while some j2 has b_j1 > b_j2 and
-    a_ij2 > b_j2, sweeping until nothing changes."""
+    """The max-min equivalence reduction, a result the book surveys: zero
+    a_ij1 (a_ij1 >= b_j1 > 0) while some j2 has b_j1 > b_j2 and a_ij2 > b_j2,
+    sweeping until nothing changes.  It preserves the solution set."""
     A = np.array(A, float)
     b = np.asarray(b, float).ravel()
     m, n = A.shape

@@ -1,5 +1,5 @@
-"""The neutrosophic pair rules, the solvability certificate and the
-equivalence reduction against their cell-by-cell loops.
+"""The neutrosophic pair rules and the solvability certificate against their
+cell-by-cell loops.
 
 Grids are tie-heavy on purpose: coefficients on a 0.25 grid, nudged by
 ±TOL/2 or ±0.9·TOL (inside the tie tolerance) or ±2·TOL (just outside it),
@@ -15,12 +15,10 @@ import pytest
 from relq.grades import TOL
 from relq.neutro import (NeutroGrade, NeutroRelation, n_pseudo_char_matrix,
                          neutro_compose, neutro_max, neutro_min, nre_max_solution)
-from relq.optimize import equivalence_reduce
 from relq.solve import gavalec_certificate
 
-from .oracles import (equivalence_reduce_loops, gavalec_loops, n_pseudo_char_loops,
-                      neutro_compose_loops, neutro_max_scalar, neutro_min_scalar,
-                      nre_max_solution_loops)
+from .oracles import (gavalec_loops, n_pseudo_char_loops, neutro_compose_loops,
+                      neutro_max_scalar, neutro_min_scalar, nre_max_solution_loops)
 
 MODES = ("graded", "absorbing")
 JITTER = TOL * np.array([0.0, 0.0, 0.5, -0.5, 0.9, -0.9, 2.0, -2.0])
@@ -123,20 +121,3 @@ def test_certificate_matches_loops():
         assert cert.cell_touches == touches == 2 * m * n
         outcomes.add((solvable, unique))
     assert outcomes == {(False, False), (True, False), (True, True)}
-
-
-def test_equivalence_reduce_matches_loop():
-    rng = np.random.default_rng(4)
-    zeroed = 0
-    for _ in range(400):
-        m, n = rng.integers(1, 7, size=2)
-        A = tie_values(rng, (m, n))
-        b = tie_values(rng, n)
-        got, want = equivalence_reduce(A, b), equivalence_reduce_loops(A, b)
-        assert np.array_equal(got, want)
-        zeroed += int(np.sum(got != A))
-    assert zeroed > 100
-    # a cell at or below TOL is never zeroed, even where b_j exceeds TOL
-    A, b = np.array([[TOL / 2, 0.5]]), np.array([1.2 * TOL, 0.0])
-    assert np.array_equal(equivalence_reduce(A, b), A)
-    assert np.array_equal(equivalence_reduce_loops(A, b), A)

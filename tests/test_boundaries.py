@@ -11,7 +11,7 @@ import pytest
 from relq.datasets import PartitionedSeries
 from relq.grades import MIN, godel, subsethood
 from relq.learn import TrainerConfig, TrainingSet, equality_error
-from relq.optimize import GaConfig, equivalence_reduce, fuzzy_c_means, pseudo_char_matrix
+from relq.optimize import GaConfig, fuzzy_c_means, pseudo_char_matrix
 from relq.products import defuzzify_cog, explain_at_least_k, mamdani_control
 from relq.relations import (Relation, alpha_cut, inf_implication_compose, relation_properties,
                             sup_t_compose)
@@ -31,7 +31,6 @@ GRIDS = {
     "TrainingSet.targets": (lambda g: TrainingSet([[0.5]], g), "targets"),
     "gavalec_certificate.A": (lambda g: gavalec_certificate(g, [0.5]), "A"),
     "pseudo_char_matrix.A": (lambda g: pseudo_char_matrix(g, [0.5]), "A"),
-    "equivalence_reduce.A": (lambda g: equivalence_reduce(g, [0.5]), "A"),
     "explain_at_least_k.R": (lambda g: explain_at_least_k(g, [0.5], 1), "R"),
 }
 BAD_GRIDS = {
@@ -70,7 +69,6 @@ VECTORS = {
     "mamdani_control.consequent": (lambda v: mamdani_control(
         [(HALVES, HALVES), (HALVES, v)], HALVES), "consequent", 2),
     "pseudo_char_matrix.b": (lambda v: pseudo_char_matrix(A12, v), "b", 2),
-    "equivalence_reduce.b": (lambda v: equivalence_reduce(A12, v), "b", 2),
     "explain_at_least_k.Mplus": (lambda v: explain_at_least_k(A12, v, 1), "Mplus", 2),
     "defuzzify_cog.U": (lambda v: defuzzify_cog([0.0, 1.0], v), "U", 2),
     "kagei_type1.pattern": (lambda v: kagei_type1([(v, 0)], 2), "pattern", 2),
@@ -116,8 +114,8 @@ def test_a_row_or_a_column_reads_as_a_vector():
      "^selected output 4 out of range for 2 outputs$"),
     (lambda: PartitionedSeries((1, 2), HALVES, HALVES, [(0,), (1, 5)]),
      r"^block 1 \(1, 5\) has an index outside the series of 2 points$"),
-    # the kernels, below and above one block: a middle axis of 1 must not
-    # broadcast, nor the sorted kernel read only some rows of Q
+    # the internal kernels, below and above one block: a middle axis of 1
+    # must not broadcast, nor the sorted kernel read only some rows of Q
     (lambda: sup_t_compose(MIN, np.array([[0.5], [0.3]]), np.full((3, 2), 0.5)),
      r"^dimension mismatch: \(2, 1\) cannot compose with \(3, 2\)$"),
     (lambda: inf_implication_compose(godel, np.array([[0.5], [0.3]]), np.full((3, 2), 0.5)),

@@ -2,8 +2,7 @@
 small random max-min, max-product and sup-Łukasiewicz systems, the start box
 and the binding sets against those of the equivalence-reduced max-min
 system, the repair within [0, x_hat], the rank draw against its
-distribution, and the per-point operators as one-row views of the batch
-ones."""
+distribution, and the crossover and mutation of one-row populations."""
 
 import numpy as np
 import pytest
@@ -12,10 +11,11 @@ from hypothesis import strategies as st
 
 from relq.grades import LUKASIEWICZ, TOL
 from relq.optimize import (GaConfig, _breed, _GaContext, _parent_ranks, _rank_probabilities,
-                           _start, dominates, equivalence_reduce, ga_crossover, ga_initialize,
-                           ga_mutate, optimize_multiobjective, optimize_nonlinear_ga)
+                           _start, dominates, optimize_multiobjective, optimize_nonlinear_ga)
 from relq.relations import MaxMin, MaxProduct, SupT
 from relq.solve import FreProblem, binding_columns, max_solution, solve
+
+from .oracles import equivalence_reduce_loops
 
 
 @st.composite
@@ -108,7 +108,7 @@ def test_start_box_and_binding_sets_match_the_reduced_max_min_system(p):
     # reaches (0 when none), capped at x_hat
     assume(max_solution(p) is not None)
     ctx = _GaContext(p)
-    reduced = FreProblem(equivalence_reduce(p.A, p.b), p.b)
+    reduced = FreProblem(equivalence_reduce_loops(p.A, p.b), p.b)
     x_hat, _, V = binding_columns(reduced)
     lb_max = np.minimum(np.where(reduced.A >= p.b - TOL, p.b, 0.0).max(axis=1), x_hat)
     assert ctx.x_hat.tobytes() == x_hat.tobytes()
@@ -163,14 +163,22 @@ def small_system():
     return FreProblem(A, FreProblem(A, np.zeros(3)).lhs([0.5, 0.3, 0.3]))
 
 
+def mutant(ctx, x, rng):
+    """One mutation of the point x, repaired sparing the lowered row."""
+    X, k = ctx.mutate(np.array([x], float), rng)
+    return ctx.feasible(X, rng, k)[0]
+
+
 def test_crossover_honours_the_superpoint():
     p = small_system()
+    ctx = _GaContext(p)
     x1, x_hat = solve(p, "pattern").minimals[0], max_solution(p)
     assert not np.allclose(x1, x_hat)
     # the first child lies between x1 and the superpoint, which solve the
     # system, so it needs no repair
     for sp in (x1, x_hat):
-        c1, c2 = ga_crossover(x1, x_hat, sp, np.random.default_rng(0), p)
+        rng = np.random.default_rng(0)
+        c1, c2 = ctx.feasible(ctx.crossover(x1[None], x_hat[None], sp[None], rng), rng)
         assert p.is_solution(c1) and p.is_solution(c2)
         lam = np.random.default_rng(0).random()
         assert np.allclose(c1, lam * x1 + (1.0 - lam) * sp, atol=1e-12)
@@ -178,26 +186,17 @@ def test_crossover_honours_the_superpoint():
 
 def test_mutation_of_a_point_outside_the_solution_set_is_repaired():
     p = small_system()
+    ctx = _GaContext(p)
     for seed in range(10):
-        assert p.is_solution(ga_mutate(np.ones(3), p, np.random.default_rng(seed)))
-        assert p.is_solution(ga_mutate(np.zeros(3), p, np.random.default_rng(seed)))
+        assert p.is_solution(mutant(ctx, np.ones(3), np.random.default_rng(seed)))
+        assert p.is_solution(mutant(ctx, np.zeros(3), np.random.default_rng(seed)))
 
 
 def test_mutation_raises_a_row_other_than_the_lowered_one():
     # every row binds the one constraint, and only row 0 attains it: lowering
     # row 0 must be repaired by another row, so no mutation gives x back
     p = FreProblem([[0.5], [0.5], [0.5]], [0.5])
-    x = np.array([0.5, 0.3, 0.3])
+    ctx, x = _GaContext(p), np.array([0.5, 0.3, 0.3])
     for seed in range(40):
-        y = ga_mutate(x, p, np.random.default_rng(seed))
+        y = mutant(ctx, x, np.random.default_rng(seed))
         assert p.is_solution(y) and not np.array_equal(y, x)
-
-
-@pytest.mark.parametrize("bad", [[0.5, np.nan, 0.3], [0.5, 1.5, 0.3], [0.5, 0.3]])
-def test_operators_reject_a_malformed_point(bad):
-    p = small_system()
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        ga_mutate(bad, p, rng)
-    with pytest.raises(ValueError):
-        ga_crossover([0.5, 0.3, 0.3], bad, [0.5, 0.3, 0.3], rng, p)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relq.grades import (DRASTIC, LUKASIEWICZ, MIN, PRODUCT, TOL,
-                         GeneratorTNorm, Interval, NoSolution, Residuum,
+                         GeneratorTNorm, Interval, NoSolution,
                          Unique, check_grades, crisp_material, equality_index, godel,
                          implication_by_name, kleene_dienes,
                          lukasiewicz_implication, q_metric,
@@ -94,7 +94,8 @@ def test_implications():
     imp = implication_by_name("godel")
     assert imp(0.5, 0.2) == 0.2
     res = implication_by_name("residuum", tnorm=PRODUCT)
-    assert isinstance(res, Residuum)
+    a, b = np.meshgrid(*2 * [np.linspace(0.0, 1.0, 11)])
+    assert res(a, b).tobytes() == PRODUCT.residuum(a, b).tobytes()
     assert res(0.5, 0.25) == pytest.approx(0.5)
 
 

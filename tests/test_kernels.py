@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from relq import relations
 from relq.grades import (DRASTIC, LUKASIEWICZ, MIN, PRODUCT, TOL, GeneratorTNorm,
-                         Residuum, crisp_material, godel, kleene_dienes,
-                         lukasiewicz_implication)
+                         crisp_material, godel, kleene_dienes, lukasiewicz_implication)
 from relq.learn import TrainingSet, delta_rule_B, delta_rule_K, sup_t_image
 from relq.relations import InfImplication, MaxMin, MaxProduct, SupT, compose
 from relq.solve import FreProblem, max_solution
@@ -74,7 +73,7 @@ def test_inf_implication_compose_matches_loops(name, chunk):
         imp, scalar = IMPLICATIONS[name], SCALAR_IMPLICATIONS[name]
     else:
         t = next(t for t in TNORMS if name == f"residuum-{t.name}")
-        imp, scalar = Residuum(t), t.residuum
+        imp = scalar = t.residuum
     for rows, mid, cols in shapes(rng):
         P, Q = tie_grid(rng, (rows, mid)), tie_grid(rng, (mid, cols))
         assert np.array_equal(compose(InfImplication(imp), P, Q).cells,

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from relq.optimize import (GaConfig, LinearFreProblem, ParetoArchive,
-                           dominates, equivalence_reduce,
-                           fuzzy_c_means, ga_crossover, ga_initialize,
-                           ga_mutate, optimize_linear, optimize_multiobjective,
+from relq.optimize import (GaConfig, LinearFreProblem, ParetoArchive, _start, dominates,
+                           fuzzy_c_means, optimize_linear, optimize_multiobjective,
                            optimize_nonlinear_ga, pseudo_char_matrix)
 from relq.relations import MaxProduct, composition_by_name
 from relq.solve import FreProblem, max_solution, solve
 
-from .oracles import brute_force_linear
+from .oracles import brute_force_linear, equivalence_reduce_loops
 
 
 def random_feasible(rng, m, n, decimals=2):
@@ -34,24 +32,33 @@ def test_negative_costs_take_x_hat():
     assert np.allclose(x, max_solution(base))
 
 
+# b_2 / a_2 lies above x_hat = b_0, and b_1 = 6e-10 is met at 0 but its
+# section is 1
+NUDGED = FreProblem([[1.0, 0.0, 0.5]], [0.75 - 1.2e-10, 6e-10, 0.375 + 8.5e-10], MaxProduct())
+
+
 def test_optimize_matches_brute_force():
     rng = np.random.default_rng(21)
+    cases = []
     for _ in range(60):
         m, n = rng.integers(1, 5), rng.integers(1, 5)
         base = random_feasible(rng, m, n)
-        c = np.round(rng.uniform(-2, 2, size=m), 2)
-        p = LinearFreProblem(base, c)
+        cases.append(LinearFreProblem(base, np.round(rng.uniform(-2, 2, size=m), 2)))
+    # the oracle caps the attaining values at x_hat, as binding_columns does;
+    # uncapped it gives x = [1.0], cost 3, which is no solution
+    cases.append(LinearFreProblem(NUDGED, [3.0]))
+    for p in cases:
         x1, z1 = optimize_linear(p)
         x2, z2 = brute_force_linear(p)
         assert z1 == pytest.approx(z2, abs=1e-9)
-        assert base.is_solution(x1)
+        assert p.base.is_solution(x1) and p.base.is_solution(x2)
+    assert z2 == pytest.approx(2.25, abs=1e-9)
 
 
 def test_a_nudged_system_keeps_every_row_under_x_hat():
-    # b_2 / a_2 lies above x_hat = b_1, and b_0 = 6e-10 is met at 0 but its
-    # section is 1: the attaining values are capped at x_hat, so x_hat is the
-    # one minimal solution and the optimum
-    p = FreProblem([[1.0, 0.0, 0.5]], [0.75 - 1.2e-10, 6e-10, 0.375 + 8.5e-10], MaxProduct())
+    # the attaining values of NUDGED are capped at x_hat, so x_hat is the one
+    # minimal solution and the optimum
+    p = NUDGED
     lows = solve(p, "pattern").minimals
     assert [x.tolist() for x in lows] == [[0.75 - 1.2e-10]]
     assert all(p.is_solution(x) for x in lows)
@@ -91,7 +98,7 @@ def test_equivalence_reduce_preserves_solutions():
         A = rng.choice(grid, size=(m, n))
         x0 = rng.choice(grid, size=m)
         b = FreProblem(A, np.zeros(n)).lhs(x0)
-        A2 = equivalence_reduce(A, b)
+        A2 = equivalence_reduce_loops(A, b)
         p1 = FreProblem(A, b)
         p2 = FreProblem(A2, b)
         for combo in itertools.product(grid, repeat=m):
@@ -103,14 +110,15 @@ def test_ga_operators_preserve_feasibility():
     rng_np = np.random.default_rng(13)
     base = random_feasible(rng_np, 3, 3)
     cfg = GaConfig(population_size=10, generations=5)
-    pop = ga_initialize(base, cfg)
-    assert len(pop) == 10
+    ctx, _, pop = _start(base, cfg)
+    assert pop.shape == (10, 3)
     assert all(base.is_solution(x) for x in pop)
     rng = np.random.default_rng(1)
-    for x in pop[:4]:
-        assert base.is_solution(ga_mutate(x, base, rng))
-    c1, c2 = ga_crossover(pop[0], pop[1], max_solution(base), rng, p=base)
-    assert base.is_solution(c1) and base.is_solution(c2)
+    X, lowered = ctx.mutate(pop[:4], rng)
+    assert all(base.is_solution(x) for x in ctx.feasible(X, rng, lowered))
+    kids = ctx.crossover(pop[:1], pop[1:2], max_solution(base), rng)
+    assert kids.shape == (2, 3)
+    assert all(base.is_solution(x) for x in ctx.feasible(kids, rng))
 
 
 def test_ga_close_to_exact():

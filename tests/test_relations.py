@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relq.grades import MIN, PRODUCT, godel
-from relq.optimize import equivalence_reduce, pseudo_char_matrix
+from relq.optimize import pseudo_char_matrix
 from relq.products import explain_at_least_k, triangle_product_subjects
 from relq.relations import (InfImplication, MaxMin, MaxProduct, Relation,
                             SupT, alpha_cut, as_grid, compose, composition_by_name,
@@ -65,7 +65,6 @@ GRID_CALLERS = {
     "triangle_product_subjects": lambda g: triangle_product_subjects(g, godel),
     "explain_at_least_k": lambda g: explain_at_least_k(g, [0.5], 1),
     "pseudo_char_matrix": lambda g: pseudo_char_matrix(g, [0.5]),
-    "equivalence_reduce": lambda g: equivalence_reduce(g, [0.5]),
     "irreflexivity_condition": lambda g: irreflexivity_condition(g, [[0.0]]),
 }
 

@@ -97,6 +97,14 @@ def test_grid_characterization_small(comp):
         checked += 1
 
 
+METHODS = [minimal_solutions_lambda, minimal_solutions_matrix_pattern,
+           minimal_solutions_archimedean]
+
+
+def method_keys(p):
+    return [minimal_set_key(method(p).minimals) for method in METHODS]
+
+
 def test_three_methods_agree():
     rng = np.random.default_rng(11)
     for _ in range(40):
@@ -109,13 +117,11 @@ def test_three_methods_agree():
         assert k1 == k2 == minimal_set_key(product_minimals(pm))
         pp = FreProblem(A, FreProblem(A, np.zeros(n), MaxProduct()).lhs(x0),
                         MaxProduct())
-        keys = [
-            minimal_set_key(fn(pp).minimals)
-            for fn in (minimal_solutions_lambda,
-                       minimal_solutions_matrix_pattern,
-                       minimal_solutions_archimedean)
-        ]
-        assert keys[0] == keys[1] == keys[2] == minimal_set_key(product_minimals(pp))
+        assert method_keys(pp) == 3 * [minimal_set_key(product_minimals(pp))]
+    # TOL-nudged: b_2 / a_2 lies above x_hat = b_0, and b_1 = 6e-10 has the
+    # section 1; the oracle caps both at x_hat, as binding_columns does
+    pn = FreProblem([[1.0, 0.0, 0.5]], [0.75 - 1.2e-10, 6e-10, 0.375 + 8.5e-10], MaxProduct())
+    assert method_keys(pn) == 3 * [minimal_set_key(product_minimals(pn))] == 3 * [[(0.75,)]]
 
 
 def test_minimals_are_solutions_and_minimal():
@@ -131,10 +137,6 @@ def test_minimals_are_solutions_and_minimal():
                             and np.any(other < m - 1e-9))
 
 
-METHODS = [minimal_solutions_lambda, minimal_solutions_matrix_pattern,
-           minimal_solutions_archimedean]
-
-
 def test_cap_exceeded():
     A = np.full((8, 8), 0.5)
     b = np.full(8, 0.5)
@@ -145,11 +147,12 @@ def test_cap_exceeded():
 @pytest.mark.parametrize("method", METHODS, ids=["lambda", "pattern", "archimedean"])
 def test_cap_at_the_count(method):
     # rows 2j and 2j+1 bind column j: 2^8 minimal solutions, and each method's
-    # count (combinations or leaves) is exactly 256
+    # count (combinations or minimal solutions) is exactly 256
     A = np.zeros((16, 8))
     A[np.arange(16), np.arange(16) // 2] = 1.0
     p = FreProblem(A, np.full(8, 0.5), MaxProduct())
-    with pytest.raises(CapExceeded):
+    counted = "binding combinations" if method is minimal_solutions_lambda else "minimal solutions"
+    with pytest.raises(CapExceeded, match=f"^{counted} exceed cap 255$"):
         method(p, cap=255)
     want = []
     for k in range(256):
