@@ -6,13 +6,17 @@ negative-cost rows at the greatest solution and cut by the best cost found.
 Nonlinear objectives run through a feasibility-preserving genetic
 algorithm under any continuous sup-t, whose start box and repair come from
 the grid V of ``binding_columns``.  It breeds a whole generation as one
-(k, m) array: parents drawn by rank with one ``searchsorted``, every draw
-made for all rows at once, and one repair after crossover and mutation, with
-one sup-t composition to find the children that need it.
+(k, m) array: parents drawn by rank with one ``searchsorted`` on a CDF found
+once per run, every draw made for all rows at once, and one repair after
+crossover and mutation, with one sup-t composition to find the children
+that need it.  The repair finds once which constraints each child misses
+and then updates that per raise, from the raised cell alone.
 Multi-objective search keeps a Pareto archive that takes a generation at
 once: one array pass compares its points with the archive and with each
-other, and the adds are replayed in order over those booleans.  Fuzzy
-c-means clusters the archive.
+other, objective-major so that each test reduces over the short objective
+axis a whole slice at a time, and the adds are replayed in order over those
+booleans, skipping the points blocked by an archived point that must stay.
+Fuzzy c-means clusters the archive.
 """
 
 from __future__ import annotations
@@ -132,23 +136,29 @@ class _GaContext:
         checks them all) clamped into [0, x_hat] and repaired, in place:
         walking row r's constraints in order, each one no row attains gets a
         random row i of I_j raised to min(V[i, j], x_hat_i), not avoid[r]
-        when I_j has another (avoid[r] = -1 spares none)."""
+        when I_j has another (avoid[r] = -1 spares none).  missed[r, j], the
+        constraints row r does not attain, is found once and then updated
+        per raise from t(x_i, A[i]) alone."""
         todo = np.flatnonzero(~(np.abs(sup_t_compose(self.t, X, self.A) - self.b)
                                 <= TOL).all(axis=1))
         X[todo] = np.clip(X[todo], 0.0, self.x_hat)
         avoid = np.full(len(X), -1) if avoid is None else avoid
+        missed = ~(np.abs(self.t.apply(X[todo, :, None], self.A) - self.b) <= TOL).any(axis=1)
         # under x_hat a raise attains its constraint and undoes no other
         # attainment, so each round raises every row's first unattained one
-        while todo.size:
-            missed = ~(np.abs(self.t.apply(X[todo, :, None], self.A) - self.b)
-                       <= TOL).any(axis=1)
-            todo, j = todo[missed.any(axis=1)], missed[missed.any(axis=1)].argmax(axis=1)
+        # and clears only what the raised cell now attains
+        while True:
+            left = missed.any(axis=1)
+            todo, missed = todo[left], missed[left]
+            if not todo.size:
+                return X
+            j = missed.argmax(axis=1)
             pool = self.binding[j]
             pool &= (np.arange(len(self.x_hat)) != avoid[todo, None]) | (
                 pool.sum(axis=1, keepdims=True) < 2)
             i = np.where(pool, rng.random(pool.shape), -1.0).argmax(axis=1)
-            X[todo, i] = np.maximum(X[todo, i], self.attain[j, i])
-        return X
+            X[todo, i] = raised = np.maximum(X[todo, i], self.attain[j, i])
+            missed &= np.abs(self.t.apply(raised[:, None], self.A[i]) - self.b) > TOL
 
     def mutate(self, X, rng):
         """Mutation of each row, unrepaired: one coordinate that other rows
@@ -171,13 +181,14 @@ class _GaContext:
 
 
 def _start(p: FreProblem, cfg: GaConfig):
-    """Context, generator and initial population of a GA run: points sampled
-    in the box [lb, x_hat] of ``_GaContext`` (every such point is feasible),
-    repaired as a safety net."""
+    """Context, generator, initial population and rank-selection CDF of a GA
+    run: points sampled in the box [lb, x_hat] of ``_GaContext`` (every such
+    point is feasible), repaired as a safety net, and the ``_rank_cdf`` of
+    the population, which every generation draws its parents on."""
     ctx = _GaContext(p)
     rng = np.random.default_rng(cfg.rng_seed)
     box = ctx.lb + rng.random((cfg.population_size, p.m)) * (ctx.x_hat - ctx.lb)
-    return ctx, rng, ctx.feasible(box, rng)
+    return ctx, rng, ctx.feasible(box, rng), _rank_cdf(cfg.population_size, cfg.selection_q)
 
 
 def _rank_probabilities(n, q):
@@ -186,18 +197,23 @@ def _rank_probabilities(n, q):
     return w / w.sum()
 
 
-def _parent_ranks(n, q, size, rng):
-    """size ranks drawn by ``_rank_probabilities(n, q)``, placed on its CDF."""
-    return np.searchsorted(np.cumsum(_rank_probabilities(n, q))[:-1], rng.random(size),
-                           side="right")
+def _rank_cdf(n, q):
+    """The CDF of ``_rank_probabilities(n, q)`` without its last entry, 1."""
+    return np.cumsum(_rank_probabilities(n, q))[:-1]
 
 
-def _breed(X, order, count, ctx: _GaContext, cfg: GaConfig, rng):
-    """count feasible children of parents drawn by rank (order lists X best
-    first): crossover, then mutation, each with its configured probability,
-    then one repair of them all that spares each mutant's lowered row."""
+def _parent_ranks(cdf, size, rng):
+    """size ranks drawn by the probabilities whose ``_rank_cdf`` is cdf."""
+    return np.searchsorted(cdf, rng.random(size), side="right")
+
+
+def _breed(X, order, count, cdf, ctx: _GaContext, cfg: GaConfig, rng):
+    """count feasible children of parents drawn by rank on cdf (order lists X
+    best first): crossover, then mutation, each with its configured
+    probability, then one repair of them all that spares each mutant's
+    lowered row."""
     pairs = (count + 1) // 2
-    kids = X[order[_parent_ranks(len(X), cfg.selection_q, 2 * pairs, rng)]]
+    kids = X[order[_parent_ranks(cdf, 2 * pairs, rng)]]
     cross = rng.random(pairs) < cfg.crossover_prob
     kids[np.tile(cross, 2)] = ctx.crossover(kids[:pairs][cross], kids[pairs:][cross],
                                             ctx.x_hat, rng)
@@ -210,10 +226,10 @@ def _breed(X, order, count, ctx: _GaContext, cfg: GaConfig, rng):
 def optimize_nonlinear_ga(p: FreProblem, f, cfg: GaConfig | None = None):
     """Minimize an arbitrary objective over the solution set by GA."""
     cfg = cfg or GaConfig()
-    ctx, rng, X = _start(p, cfg)
+    ctx, rng, X, cdf = _start(p, cfg)
     for gen in range(cfg.generations + 1):
         if gen:
-            X = np.vstack([best_x, _breed(X, np.argsort(fit), len(X) - 1, ctx, cfg, rng)])
+            X = np.vstack([best_x, _breed(X, np.argsort(fit), len(X) - 1, cdf, ctx, cfg, rng)])
         fit = _finite(np.array([float(f(x)) for x in X]), "objective values")
         if gen == 0 or fit.min() < best_f:
             best_x, best_f = X[np.argmin(fit)].copy(), fit.min()
@@ -227,9 +243,15 @@ def optimize_nonlinear_ga(p: FreProblem, f, cfg: GaConfig | None = None):
 def dominates(z1, z2):
     """z1 dominates z2 iff z1 <= z2 and z1 != z2 component-wise, within OBJECTIVE_SLACK;
     either side may be a stack of points (last axis), giving a boolean array."""
-    z1, z2 = np.asarray(z1, float), np.asarray(z2, float)
-    d = (z1 <= z2 + OBJECTIVE_SLACK).all(axis=-1) & (z1 < z2 - OBJECTIVE_SLACK).any(axis=-1)
+    z1, z2 = np.broadcast_arrays(np.atleast_1d(np.asarray(z1, float)), np.asarray(z2, float))
+    d = _dominates_om(np.moveaxis(z1, -1, 0), np.moveaxis(z2, -1, 0))
     return bool(d) if d.ndim == 0 else d
+
+
+def _dominates_om(z1, z2):
+    """``dominates`` on objective-major stacks: the objectives run along the
+    first axis, so the tests reduce over it, one whole slice at a time."""
+    return (z1 <= z2 + OBJECTIVE_SLACK).all(axis=0) & (z1 < z2 - OBJECTIVE_SLACK).any(axis=0)
 
 
 class ParetoArchive:
@@ -242,11 +264,15 @@ class ParetoArchive:
     dominance and closeness between the batch and the archive and within the
     batch (a batch too large for about CHUNK_CELLS cells goes in slices), and
     the adds are then replayed in order over those booleans, so the result
-    is that of adding the rows one at a time."""
+    is that of adding the rows one at a time.  The pass holds the objective
+    values objective-major, a contiguous (objectives, points) array, so each
+    test reduces over its leading axis.  The replay skips every batch point
+    blocked by an archived point that no batch point dominates: that point
+    stays archived, so the batch point is rejected whatever the order."""
 
     def __init__(self):
         self.points = []
-        self._zs = np.empty((0, 0))
+        self._zs = np.empty((0, 0))  # the archived z, objective-major
 
     def add(self, x, z):
         """Archive (x, z) as above.  True when archived."""
@@ -259,6 +285,9 @@ class ParetoArchive:
         if len(X) != len(Z):
             raise ValueError(f"{len(X)} points for {len(Z)} objective vectors")
         Z = _finite(Z.reshape(len(Z), Z.size // max(len(Z), 1)), "objective vectors")
+        if len(Z) and self.points and Z.shape[1] != len(self._zs):
+            raise ValueError(f"objective vectors of {Z.shape[1]} values for an archive "
+                             f"of {len(self._zs)} objectives")
         # slices whose comparisons with the archive hold about CHUNK_CELLS cells
         step = max(1, CHUNK_CELLS // max((len(self.points) + len(Z)) * Z.shape[1], 1))
         return [a for s in range(0, len(Z), step)
@@ -266,20 +295,25 @@ class ParetoArchive:
 
     def _extend(self, X, Z):
         n = len(self.points)
-        zs = np.concatenate([self._zs.reshape(n, Z.shape[1]), Z])
+        new = np.ascontiguousarray(Z.T)
+        zs = np.concatenate([self._zs.reshape(len(new), n), new], axis=1)
+        zu, zk = zs[:, :, None], new[:, None]
         # [u, k]: z_u lies in the band of the batch's z_k (np.isclose's test,
-        # written out; the same for finite z)
-        close = (np.abs(zs[:, None] - Z[None]) <= CLOSE_ATOL + CLOSE_RTOL * np.abs(Z)).all(axis=-1)
-        # [k][u]: z_u dominates or is close to z_k, and z_k dominates z_u
-        blocked = (dominates(zs[:, None], Z[None]) | close).T.tolist()
-        drops = dominates(Z[:, None], zs[None]).tolist()
-        live, added = list(range(n)), []
-        for k in range(len(Z)):
-            added.append(not any(blocked[k][u] for u in live))
-            if added[-1]:
-                live = [u for u in live if not drops[k][u]] + [n + k]
+        # written out; the same for finite z), or dominates it
+        blocked = (np.abs(zu - zk) <= CLOSE_ATOL + CLOSE_RTOL * np.abs(zk)).all(axis=0)
+        blocked |= _dominates_om(zu, zk)
+        # [k, u]: z_k dominates z_u
+        drops = _dominates_om(new[:, :, None], zs[:, None])
+        # an archived point no batch point dominates stays, so what it blocks is rejected
+        todo = np.flatnonzero(~blocked[:n][~drops[:, :n].any(axis=0)].any(axis=0))
+        live, added = list(range(n)), [False] * len(Z)
+        for k, blocks, dropped in zip(todo.tolist(), blocked.T[todo].tolist(),
+                                      drops[todo].tolist()):
+            if not any(blocks[u] for u in live):
+                added[k] = True
+                live = [u for u in live if not dropped[u]] + [n + k]
         self.points = [self.points[u] if u < n else (X[u - n], Z[u - n]) for u in live]
-        self._zs = zs[live]
+        self._zs = zs[:, live]
         return added
 
 
@@ -289,10 +323,10 @@ def optimize_multiobjective(p: FreProblem, fs, cfg: GaConfig | None = None):
         raise ValueError("need at least two objectives")
     cfg = cfg or GaConfig()
     archive = ParetoArchive()
-    ctx, rng, X = _start(p, cfg)
+    ctx, rng, X, cdf = _start(p, cfg)
     for gen in range(cfg.generations + 1):
         if gen:
-            X = _breed(X, np.argsort(Z @ rng.random(len(fs))), len(X), ctx, cfg, rng)
+            X = _breed(X, np.argsort(Z @ rng.random(len(fs))), len(X), cdf, ctx, cfg, rng)
         Z = np.array([[float(g(x)) for g in fs] for x in X])
         archive.extend(X, Z)
     return archive

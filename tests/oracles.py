@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from relq.grades import PRODUCT, ROUNDING, TOL
+from relq.grades import CLOSE_ATOL, CLOSE_RTOL, OBJECTIVE_SLACK, PRODUCT, ROUNDING, TOL
 from relq.neutro import I, NeutroRelation, R, as_neutro
 from relq.solve import FreProblem, InfeasibleError, binding_sets, max_solution
 
@@ -465,6 +465,48 @@ def pareto_add_loops(points, x, z):
     points = [(px, pz) for px, pz in points if not dominates_pair(z, pz)]
     points.append((np.asarray(x, float).copy(), z))
     return True, points
+
+
+def pareto_replay_loops(points, X, Z):
+    """ParetoArchive.extend on a list of (x, z) pairs in one point-major
+    pass (the objectives on the last axis): dominance and closeness of every
+    batch point against the archived and the batch points, then every batch
+    point replayed in order.  Returns (the adds, the new points)."""
+    X, Z = np.array(X, float), np.array(Z, float)
+    n = len(points)
+    zs = np.concatenate([np.reshape([z for _, z in points], (n, Z.shape[1])), Z])
+
+    def dom(z1, z2):
+        return ((z1 <= z2 + OBJECTIVE_SLACK).all(axis=-1)
+                & (z1 < z2 - OBJECTIVE_SLACK).any(axis=-1))
+
+    close = (np.abs(zs[:, None] - Z[None]) <= CLOSE_ATOL + CLOSE_RTOL * np.abs(Z)).all(axis=-1)
+    blocked = (dom(zs[:, None], Z[None]) | close).T.tolist()
+    drops = dom(Z[:, None], zs[None]).tolist()
+    live, added = list(range(n)), []
+    for k in range(len(Z)):
+        added.append(not any(blocked[k][u] for u in live))
+        if added[-1]:
+            live = [u for u in live if not drops[k][u]] + [n + k]
+    return added, [points[u] if u < n else (X[u - n], Z[u - n]) for u in live]
+
+
+def repair_rounds_loops(ctx, X, rng, avoid=None):
+    """_GaContext.feasible recomputing, each round, t(x_i, a_ij) for every
+    row left to repair and every cell: X repaired in place and returned."""
+    t, A, b = ctx.t, ctx.A, ctx.b
+    todo = np.flatnonzero(~(np.abs(t.apply(X[:, :, None], A).max(axis=1) - b) <= TOL).all(axis=1))
+    X[todo] = np.clip(X[todo], 0.0, ctx.x_hat)
+    avoid = np.full(len(X), -1) if avoid is None else avoid
+    while todo.size:
+        missed = ~(np.abs(t.apply(X[todo, :, None], A) - b) <= TOL).any(axis=1)
+        todo, j = todo[missed.any(axis=1)], missed[missed.any(axis=1)].argmax(axis=1)
+        pool = ctx.binding[j]
+        pool &= (np.arange(len(ctx.x_hat)) != avoid[todo, None]) | (
+            pool.sum(axis=1, keepdims=True) < 2)
+        i = np.where(pool, rng.random(pool.shape), -1.0).argmax(axis=1)
+        X[todo, i] = np.maximum(X[todo, i], ctx.attain[j, i])
+    return X
 
 
 def contains_loops(solset, x, tol=TOL):

@@ -10,12 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relq.grades import LUKASIEWICZ, TOL
-from relq.optimize import (GaConfig, _breed, _GaContext, _parent_ranks, _rank_probabilities,
-                           _start, dominates, optimize_multiobjective, optimize_nonlinear_ga)
+from relq.optimize import (GaConfig, _breed, _GaContext, _parent_ranks, _rank_cdf,
+                           _rank_probabilities, _start, dominates, optimize_multiobjective,
+                           optimize_nonlinear_ga)
 from relq.relations import MaxMin, MaxProduct, SupT
 from relq.solve import FreProblem, binding_columns, max_solution, solve
 
-from .oracles import equivalence_reduce_loops
+from .oracles import equivalence_reduce_loops, repair_rounds_loops
 
 
 @st.composite
@@ -93,9 +94,10 @@ def test_breed_returns_solutions(case, count):
     # crossover and mutation leave their children unrepaired; the one repair
     # at the end of each generation must make every row a solution
     p, _, cfg = case
-    ctx, rng, X = _start(p, cfg)
+    ctx, rng, X, cdf = _start(p, cfg)
     for _ in range(3):
-        X = _breed(X, np.arange(len(X)), count, ctx, cfg, rng)
+        X = _breed(X, np.arange(len(X)), count, cdf, ctx, cfg, rng)
+        cdf = _rank_cdf(count, cfg.selection_q)
         assert X.shape == (count, p.m)
         assert all(p.is_solution(x) for x in X)
 
@@ -130,15 +132,36 @@ def test_repair_stays_within_x_hat(p, seed):
     assert all(p.is_solution(x) for x in X)
 
 
+@settings(max_examples=200, deadline=None)
+@given(grid_systems([MaxMin(), MaxProduct(), SupT(LUKASIEWICZ)], nudge=0.9),
+       st.integers(1, 12), st.booleans(), st.integers(0, 2 ** 16))
+def test_repair_matches_the_rounds_oracle(p, rows, spare, seed):
+    # rows drawn in [0, 1], some in [0, x_hat] and some at x_hat (already
+    # solutions), each sparing a random row or none: the repaired rows and
+    # the generator's state must be those of a repair that recomputes every
+    # cell each round
+    assume(max_solution(p) is not None)
+    ctx, draw = _GaContext(p), np.random.default_rng(seed)
+    X = draw.random((rows, p.m))
+    X[draw.random(rows) < 0.3] *= ctx.x_hat
+    X[draw.random(rows) < 0.2] = ctx.x_hat
+    avoid = draw.integers(-1, p.m, size=rows) if spare else None
+    got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = ctx.feasible(X.copy(), got_rng, avoid)
+    want = repair_rounds_loops(ctx, X.copy(), want_rng, avoid)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_breed_spares_each_mutants_lowered_row():
     # as in test_mutation_raises_a_row_other_than_the_lowered_one, with every
     # child a mutant of x repaired in one batch: none may come back as x
     p = FreProblem([[0.5], [0.5], [0.5]], [0.5])
     cfg = GaConfig(population_size=8, crossover_prob=0.0, mutation_prob=1.0)
-    ctx, rng = _start(p, cfg)[:2]
+    ctx, rng, _, cdf = _start(p, cfg)
     X = np.tile([0.5, 0.3, 0.3], (8, 1))
     for _ in range(5):
-        kids = _breed(X, np.arange(8), 8, ctx, cfg, rng)
+        kids = _breed(X, np.arange(8), 8, cdf, ctx, cfg, rng)
         assert all(p.is_solution(y) and not np.array_equal(y, X[0]) for y in kids)
 
 
@@ -147,7 +170,8 @@ def test_parent_ranks_follow_the_rank_probabilities():
     # 5·sqrt(p(1 - p)/N), of its probability p
     n, q, N = 20, 0.1, 100_000
     probs = _rank_probabilities(n, q)
-    freq = np.bincount(_parent_ranks(n, q, N, np.random.default_rng(6)), minlength=n) / N
+    ranks = _parent_ranks(_rank_cdf(n, q), N, np.random.default_rng(6))
+    freq = np.bincount(ranks, minlength=n) / N
     assert freq.size == n
     assert np.all(np.abs(freq - probs) <= 5.0 * np.sqrt(probs * (1.0 - probs) / N))
 

@@ -110,7 +110,7 @@ def test_ga_operators_preserve_feasibility():
     rng_np = np.random.default_rng(13)
     base = random_feasible(rng_np, 3, 3)
     cfg = GaConfig(population_size=10, generations=5)
-    ctx, _, pop = _start(base, cfg)
+    ctx, _, pop, _ = _start(base, cfg)
     assert pop.shape == (10, 3)
     assert all(base.is_solution(x) for x in pop)
     rng = np.random.default_rng(1)

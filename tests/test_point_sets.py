@@ -34,8 +34,8 @@ from relq.solve import (FreProblem, binding_columns, irreflexivity_condition,
 from .oracles import (_combination_points, contains_loops, contradictory_pairs_loops,
                       dominance_filter_loops, dominates_pair, fuzzy_c_means_loops,
                       irredundant_chains_loops, irredundant_loops, irreflexivity_loops,
-                      minimal_set_key, pareto_add_loops, product_minimals,
-                      sre_solvability_loops)
+                      minimal_set_key, pareto_add_loops, pareto_replay_loops,
+                      product_minimals, sre_solvability_loops)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 SCALES = (0.0, 0.5, -0.5, 0.9, -0.9, 2.0, -2.0)
@@ -284,6 +284,47 @@ def test_archive_extend_drops_an_earlier_point_of_its_batch():
     assert arch.add([4], [0.1, 0.9]) is True and arch.add([5], [0.1, 0.95]) is False
     assert [x.tolist() for x, _ in arch.points] == [[1.0], [4.0]]
     assert arch.extend([], []) == [] and len(arch.points) == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([1e-12, "isclose"]),
+       st.lists(st.integers(1, 160), min_size=1, max_size=4), st.integers(0, 2 ** 32 - 1))
+def test_archive_extend_matches_the_replay_oracle(objectives, tol, sizes, seed):
+    # batches of up to 160 points: above about 104 (3 objectives) or 128 (2),
+    # fewer beside a non-empty archive, extend passes them in CHUNK_CELLS
+    # slices; the archive's points and adds must be those of one point-major
+    # pass and a replay of every point
+    rng = np.random.default_rng(seed)
+    arch, points = ParetoArchive(), []
+    for size in sizes:
+        base = rng.choice(GRID, size=(size, objectives))
+        band = 1e-12 if tol == 1e-12 else 1e-8 + 1e-5 * np.abs(base)
+        X, Z = rng.random((size, 2)), base + band * rng.choice(SCALES, size=base.shape)
+        want, points = pareto_replay_loops(points, X, Z)
+        assert arch.extend(X, Z) == want
+        assert same_points(arch, points)
+
+
+def test_archive_refuses_objective_vectors_of_another_length():
+    arch = ParetoArchive()
+    assert arch.extend([[0.0], [1.0]], [[0.5, 0.5], [0.2, 0.9]]) == [True, True]
+    for Z in ([[0.1, 0.1, 0.1]], [[0.1]]):
+        with pytest.raises(ValueError, match=f"^objective vectors of {len(Z[0])} values "
+                                             "for an archive of 2 objectives$"):
+            arch.extend([[2.0]], Z)
+    assert [z.tolist() for _, z in arch.points] == [[0.5, 0.5], [0.2, 0.9]]
+
+
+def test_archive_extend_of_an_empty_batch_changes_nothing():
+    arch = ParetoArchive()
+    arch.extend([[0.0], [1.0]], [[0.5, 0.5], [0.2, 0.9]])
+    before = list(arch.points)
+    for X, Z in (([], []), (np.empty((0, 1)), np.empty((0, 2))),
+                 (np.empty((0, 1)), np.empty((0, 3)))):
+        assert arch.extend(X, Z) == []
+        assert len(arch.points) == 2 and all(a is b for a, b in zip(arch.points, before))
+    assert arch.add([2.0], [0.1, 0.1]) is True
+    assert [x.tolist() for x, _ in arch.points] == [[2.0]]
 
 
 def test_archive_scales_the_close_band_by_the_new_point():
