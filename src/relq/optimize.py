@@ -312,7 +312,9 @@ class ParetoArchive:
             if not any(blocks[u] for u in live):
                 added[k] = True
                 live = [u for u in live if not dropped[u]] + [n + k]
-        self.points = [self.points[u] if u < n else (X[u - n], Z[u - n]) for u in live]
+        # copies, not row views: a view would keep the whole batch alive
+        self.points = [self.points[u] if u < n else (X[u - n].copy(), Z[u - n].copy())
+                       for u in live]
         self._zs = zs[:, live]
         return added
 

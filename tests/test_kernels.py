@@ -6,11 +6,12 @@ residua and of the Goedel implication switch branches.
 """
 
 import math
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relq import relations
@@ -89,9 +90,32 @@ def recording(op, sizes):
     return wrapped
 
 
+@contextmanager
+def phases(monkeypatch):
+    """Which phases of the sorted sup_t_compose run inside the ``with``: the
+    per-cell phase on at least one live cell, and the hand-over to the plain
+    kernel (``_chunked``, which the unsorted path also calls)."""
+    ran = {"per-cell": False, "plain": False}
+    live_cells, chunked = relations._live_cells, relations._chunked
+
+    def spy_live_cells(t, ps, order, Q, top, out, going, ends):
+        ran["per-cell"] |= bool(going.any())
+        return live_cells(t, ps, order, Q, top, out, going, ends)
+
+    def spy_chunked(*args):
+        ran["plain"] = True
+        return chunked(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(relations, "_live_cells", spy_live_cells)
+        m.setattr(relations, "_chunked", spy_chunked)
+        yield ran
+
+
 @pytest.mark.parametrize("chunk_cells, rows, mid, cols", [
     (None, 200, 40, 200),  # rows·cols > CHUNK_CELLS, one j slice per block of rows
     (None, 3, 300, 150),   # mid·cols > CHUNK_CELLS, slices of j
+    (None, 200, 64, 200),  # sorted: rows·cols > CHUNK_CELLS, live cells go on per cell
     (7, 5, 6, 4),          # rows and j split down to a few cells
     (7, 3, 4, 9),          # cols > CHUNK_CELLS: one row and one j at a time
 ])
@@ -107,8 +131,10 @@ def test_kernel_temporaries_stay_within_the_block_bound(chunk_cells, rows, mid, 
                (lambda op: relations.inf_implication_compose(op, P, Q), godel)]
     for kernel, op in kernels:
         sizes = []
-        blocked = kernel(recording(op, sizes))
+        with phases(monkeypatch) as ran:
+            blocked = kernel(recording(op, sizes))
         assert len(sizes) > 1 and max(sizes) <= bound
+        assert ran["per-cell"] == (mid >= relations._SORT_MID and kernel is kernels[0][0])
         with monkeypatch.context() as m:  # the whole product in one block
             m.setattr(relations, "CHUNK_CELLS", rows * mid * cols)
             assert blocked.tobytes() == kernel(op).tobytes()
@@ -169,6 +195,60 @@ def test_sorted_sup_t_compose_stops_early():
     out = relations.sup_t_compose(SimpleNamespace(apply=recording(PRODUCT.apply, sizes)), P, Q)
     assert n ** 3 > relations.CHUNK_CELLS and sum(sizes) <= n ** 3 // 4
     assert out.tobytes() == Q[ones].tobytes()
+
+
+@pytest.mark.parametrize("t, share", [(MIN, 0.16), (PRODUCT, 0.24)], ids=["min", "product"])
+def test_sorted_sup_t_compose_stops_each_cell_on_its_own(t, share):
+    # uniform grades: most cells are final after a dozen sorted positions,
+    # a few go on much longer; a block of rows that waited for its last cell
+    # applied t to a quarter (min) or a third (product) of the n^3 cells
+    rng = np.random.default_rng(13)
+    n = 192
+    P, Q = rng.random((n, n)), rng.random((n, n))
+    sizes = []
+    out = relations.sup_t_compose(SimpleNamespace(apply=recording(t.apply, sizes)), P, Q)
+    assert sum(sizes) <= share * n ** 3
+    assert out.tobytes() == relations._chunked(t.apply, np.maximum, P, Q).tobytes()
+
+
+@pytest.mark.parametrize("family, per_cell, plain", [
+    ("uniform", True, False),  # live cells left after the dense phase
+    ("crisp", False, False),   # every cell final after the first round
+    ("ones", False, True),     # no row block stops by half of mid
+])
+def test_sorted_sup_t_compose_reaches_each_phase(family, per_cell, plain, monkeypatch):
+    rng = np.random.default_rng(17)
+    P, Q = p_family(rng, family, 160, 128), rng.random((128, 160))
+    with phases(monkeypatch) as ran:
+        out = relations.sup_t_compose(PRODUCT, P, Q)
+    assert ran == {"per-cell": per_cell, "plain": plain}
+    assert out.tobytes() == relations._chunked(PRODUCT.apply, np.maximum, P, Q).tobytes()
+
+
+# Hamacher with its closed-form inverse, so that a one-block reference over
+# 200^3 cells stays cheap; the bisection form runs in the small shapes above
+HAMACHER_INV = GeneratorTNorm(lambda u: (1.0 - u) / u, f_inv=lambda v: 1.0 / (1.0 + v),
+                              name="hamacher")
+
+
+@pytest.mark.parametrize("t", [MIN, PRODUCT, LUKASIEWICZ, HAMACHER_INV], ids=lambda t: t.name)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(32, 200), mid=st.integers(64, 200),
+       cols=st.integers(32, 200),
+       family=st.sampled_from(["uniform", "ties", "ones", "ones-rows", "crisp"]))
+@example(seed=1, rows=200, mid=200, cols=200, family="uniform")  # live cells go on
+@example(seed=1, rows=64, mid=64, cols=200, family="ones")       # the plain kernel takes over
+@settings(max_examples=8, deadline=None)
+def test_sorted_sup_t_compose_is_the_one_block_result_at_size(t, seed, rows, mid, cols,
+                                                               family):
+    # the real block bound, so shapes like the bench's reach both phases
+    # and the hand-over; uniform P is the bench's grades
+    rng = np.random.default_rng(seed)
+    P = rng.random((rows, mid)) if family == "uniform" else p_family(rng, family, rows, mid)
+    Q = rng.random((mid, cols)) if family == "uniform" else tie_grid(rng, (mid, cols))
+    sorted_out = relations.sup_t_compose(t, P, Q)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(relations, "CHUNK_CELLS", rows * mid * cols)
+        assert sorted_out.tobytes() == relations.sup_t_compose(t, P, Q).tobytes()
 
 
 def test_crisp_implication_compose_matches_loops(chunk):

@@ -327,6 +327,19 @@ def test_archive_extend_of_an_empty_batch_changes_nothing():
     assert [x.tolist() for x, _ in arch.points] == [[2.0]]
 
 
+def test_archived_points_own_their_data():
+    # a row view of the batch would keep the whole (20, 10) and (20, 2)
+    # arrays alive for as long as the one point stays archived
+    rng = np.random.default_rng(3)
+    arch = ParetoArchive()
+    for _ in range(3):
+        arch.extend(rng.random((20, 10)), rng.random((20, 2)))
+    assert arch.points
+    for x, z in arch.points:
+        assert x.base is None and x.flags.owndata and x.shape == (10,)
+        assert z.base is None and z.flags.owndata and z.shape == (2,)
+
+
 def test_archive_scales_the_close_band_by_the_new_point():
     # d lies between the band of z = 0.5 and that of the archived 0.5 + d, so
     # only np.allclose(pz, z) (band 1e-8 + 1e-5·|z|) lets z replace it
