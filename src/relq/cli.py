@@ -142,7 +142,7 @@ def cmd_compose(args):
         return json.loads(R.to_json(mode)), 0
     if args.format == "csv":
         return {"csv": R.to_csv(mode).rstrip("\n")}, 0
-    return {"cells": np.array([[neutro_format(g) for g in row] for row in R.cells])}, 0
+    return {"cells": np.array(R.tokens())}, 0
 
 
 def cmd_solve(args):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grades import PRODUCT, STOP_TOL, TOL, as_grades
-from .neutro import NeutroRelation
+from .neutro import NeutroRelation, neutro_compose
 from .relations import Relation, sup_t_compose
 
 
@@ -277,22 +277,12 @@ MEDICAL_NRE_Q = ["0.3", "0.7", "0.5I", "0.3", "0", "0.3", "0.2", "0.3I"]
 
 
 def demo_bonded_labor_nre():
-    from .neutro import neutro_compose
-
-    out = neutro_compose(
-        "graded", BONDED_LABOR_NRE_P,
-        NeutroRelation([[v] for v in BONDED_LABOR_NRE_Q]),
-    )
-    return [out[i, 0] for i in range(out.rows)]
+    Q = NeutroRelation([[v] for v in BONDED_LABOR_NRE_Q])
+    return [row[0] for row in neutro_compose("graded", BONDED_LABOR_NRE_P, Q).cells]
 
 
 def demo_medical_nre():
-    from .neutro import neutro_compose
-
-    out = neutro_compose(
-        "graded", NeutroRelation([MEDICAL_NRE_Q]), MEDICAL_NRE_P,
-    )
-    return [out[0, j] for j in range(out.cols)]
+    return list(neutro_compose("graded", NeutroRelation(MEDICAL_NRE_Q), MEDICAL_NRE_P).cells[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ and keeps the winning operand's kind.  Mode is an explicit argument on
 every public operation.
 
 The operations work on (indet, coeff) array pairs: a boolean array that
-marks the indeterminate cells and a float array of coefficients.  A
-coefficient of 0 is always real.  Graded min/max take the smaller/larger
-coefficient and the kind the operands share; across kinds a tie
-(|Δcoeff| <= TOL) is indeterminate, otherwise the winner's kind is kept.
-Absorbing min/max treat every nonzero nI as I (coefficient 1), with
-I ∧ 0 = 0 and I ∨ x = I.  ``NeutroRelation`` keeps its cells as
-``NeutroGrade`` objects; they are converted to pairs and back only at the
-boundary of an operation.
+marks the indeterminate cells and a float array of coefficients, 0 only in
+a real cell.  Graded min/max take the smaller/larger coefficient and the
+kind the operands share; across kinds a tie (|Δcoeff| <= TOL) is
+indeterminate, otherwise the winner's kind is kept.  Absorbing min/max
+treat every nonzero nI as I (coefficient 1), with I ∧ 0 = 0 and I ∨ x = I.
+A ``NeutroRelation`` is one read-only pair; ``cells`` and ``[i, j]`` build
+``NeutroGrade`` objects only when asked.  Its grid is read by ``as_grid``'s
+rules (a 1-d grid is one row), and a string is one cell.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grades import TOL, check_grades
+from .relations import as_grid
 
 MODES = ("graded", "absorbing")
 
@@ -109,29 +110,24 @@ def neutro_parse(token):
     return R(float(coeff))
 
 
-def neutro_format(g: NeutroGrade):
-    if g.is_real:
-        return f"{g.coeff:.9g}"
-    if abs(g.coeff - 1.0) <= TOL:
+def _token(indet, coeff):
+    """A cell's token: its coefficient, then I if indeterminate (I alone for 1)."""
+    if indet and abs(coeff - 1.0) <= TOL:
         return "I"
-    return f"{g.coeff:.9g}I"
+    return f"{coeff:.9g}I" if indet else f"{coeff:.9g}"
+
+
+def neutro_format(g: NeutroGrade):
+    return _token(g.is_indet, g.coeff)
+
+
+def _grade(indet, coeff):
+    return NeutroGrade("indet" if indet else "real", coeff)
 
 
 # ---------------------------------------------------------------------------
 # min / max in the two modes, on (indet, coeff) pairs
 # ---------------------------------------------------------------------------
-
-def _pairs(grades):
-    """(indet, coeff) arrays of a nested list of grades."""
-    return (np.array([[g.is_indet for g in row] for row in grades], dtype=bool),
-            np.array([[g.coeff for g in row] for row in grades], dtype=float))
-
-
-def _grades(indet, coeff):
-    """Nested list of grades from (indet, coeff) arrays."""
-    return [[NeutroGrade("indet" if k else "real", c) for k, c in zip(krow, crow)]
-            for krow, crow in zip(indet.tolist(), coeff.tolist())]
-
 
 def _graded_kind(ka, ca, kb, cb, a_wins, coeff):
     """Kind of a graded min/max: the kind both share, else indeterminate on
@@ -160,7 +156,7 @@ def _scalar(rule, mode, a, b):
     _check_mode(mode)
     a, b = as_neutro(a), as_neutro(b)
     kind, coeff = rule(mode, a.is_indet, a.coeff, b.is_indet, b.coeff)
-    return NeutroGrade("indet" if kind else "real", float(coeff))
+    return _grade(kind, float(coeff))
 
 
 def neutro_min(mode, a, b):
@@ -175,100 +171,134 @@ def neutro_max(mode, a, b):
 # Matrices
 # ---------------------------------------------------------------------------
 
-class NeutroRelation:
-    """Dense matrix of NeutroGrade cells."""
+def _leaves(grid, cell):
+    """grid with cell applied to each entry that is not a list, tuple or array."""
+    if isinstance(grid, (list, tuple, np.ndarray)):
+        return [_leaves(v, cell) for v in grid]
+    return cell(grid)
 
-    __slots__ = ("cells",)
+
+def _pair_grid(cells, name="neutrosophic cells"):
+    """(indet, coeff) arrays of a grid of cells, each read by as_neutro;
+    as_grid checks the shape of the coefficient grid."""
+    grades = _leaves(cells, as_neutro)
+    coeff = as_grid(_leaves(grades, lambda g: g.coeff), name)
+    return np.array(_leaves(grades, lambda g: g.is_indet), bool).reshape(coeff.shape), coeff
+
+
+def _seal(rel, indet, coeff):
+    """rel with the arrays indet and coeff, made read-only, as its state."""
+    for name, arr in (("indet", indet), ("coeff", coeff)):
+        arr.flags.writeable = False
+        object.__setattr__(rel, name, arr)
+    return rel
+
+
+def _json_cell(v):
+    """A JSON cell as a grade: a number, a grade token or {"I": c}."""
+    if isinstance(v, dict) and v.keys() == {"I"} and type(v["I"]) in (int, float):
+        return I(v["I"])
+    if type(v) in (int, float, str):  # type, not isinstance: a bool is no grade
+        return as_neutro(v)
+    raise ValueError(f'neutrosophic JSON cell {v!r} is not a number, a grade token '
+                     f'or {{"I": c}}')
+
+
+def _declared(mode, expect_mode):
+    """A file's declared mode, or None: one of MODES, and expect_mode if given."""
+    if mode is not None:
+        _check_mode(mode)
+        if expect_mode not in (None, mode):
+            raise ValueError(f"file declares mode {mode!r} but {expect_mode!r} requested")
+    return mode
+
+
+class NeutroRelation:
+    """Dense matrix of neutrosophic grades as two read-only arrays: the bool
+    ``indet`` marks indeterminate cells, the float ``coeff`` has each coefficient."""
+
+    __slots__ = ("indet", "coeff")
 
     def __init__(self, cells):
-        rows = [[as_neutro(v) for v in row] for row in cells]
-        if not rows or not rows[0]:
-            raise ValueError("relation must have at least one row and column")
-        w = len(rows[0])
-        if any(len(r) != w for r in rows):
-            raise ValueError("ragged grid")
-        object.__setattr__(self, "cells", tuple(tuple(r) for r in rows))
+        _seal(self, *_pair_grid(cells))
 
     def __setattr__(self, name, value):
         raise AttributeError("NeutroRelation is immutable")
 
     @property
     def rows(self):
-        return len(self.cells)
+        return self.coeff.shape[0]
 
     @property
     def cols(self):
-        return len(self.cells[0])
+        return self.coeff.shape[1]
+
+    def _per_cell(self, f):
+        """Rows of f(indet, coeff) over the cells, on Python bools and floats."""
+        return [[f(k, c) for k, c in zip(krow, crow)]
+                for krow, crow in zip(self.indet.tolist(), self.coeff.tolist())]
+
+    @property
+    def cells(self):
+        """Rows of NeutroGrade, built on each access."""
+        return tuple(tuple(row) for row in self._per_cell(_grade))
 
     def __getitem__(self, idx):
         i, j = idx
-        return self.cells[i][j]
+        return _grade(bool(self.indet[i, j]), float(self.coeff[i, j]))
+
+    def tokens(self):
+        """Rows of the cells' ``neutro_format`` tokens."""
+        return self._per_cell(_token)
 
     def __eq__(self, other):
         if not isinstance(other, NeutroRelation):
             return NotImplemented
-        return self.cells == other.cells
+        return (self.coeff.shape == other.coeff.shape
+                and np.array_equal(self.indet, other.indet)
+                and bool(np.all(np.abs(self.coeff - other.coeff) <= TOL)))
 
     def all_real(self):
-        return all(g.is_real for row in self.cells for g in row)
+        return not self.indet.any()
 
     def to_real(self):
         if not self.all_real():
             raise ValueError("matrix contains indeterminate cells")
-        return np.array([[g.coeff for g in row] for row in self.cells])
+        return self.coeff.copy()
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(neutro_format(g) for g in row) for row in self.cells
-        )
-        return f"NeutroRelation[{body}]"
+        return f"NeutroRelation[{'; '.join(' '.join(row) for row in self.tokens())}]"
 
     # -- codecs -------------------------------------------------------------
 
     def to_csv(self, mode):
         _check_mode(mode)
-        lines = [f"# mode: {mode}"]
-        for row in self.cells:
-            lines.append(",".join(neutro_format(g) for g in row))
-        return "\n".join(lines) + "\n"
+        return "\n".join([f"# mode: {mode}"] + [",".join(row) for row in self.tokens()]) + "\n"
 
     @classmethod
     def from_csv(cls, text, expect_mode=None):
-        mode = None
-        rows = []
+        mode, rows = None, []
         for line in text.strip().splitlines():
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 m = re.match(r"#\s*mode:\s*(\w+)", line)
-                if m:
-                    mode = m.group(1)
-                continue
-            rows.append([neutro_parse(tok) for tok in line.split(",")])
-        if expect_mode is not None and mode is not None and mode != expect_mode:
-            raise ValueError(f"file declares mode {mode!r} but {expect_mode!r} requested")
-        return cls(rows), mode
+                mode = m.group(1) if m else mode
+            elif line:
+                rows.append(line.split(","))
+        return cls(rows), _declared(mode, expect_mode)
 
     def to_json(self, mode):
         _check_mode(mode)
-        cells = [
-            [g.coeff if g.is_real else {"I": g.coeff} for g in row]
-            for row in self.cells
-        ]
+        cells = self._per_cell(lambda k, c: {"I": c} if k else c)
         return json.dumps({"mode": mode, "rows": self.rows, "cols": self.cols, "cells": cells})
 
     @classmethod
     def from_json(cls, text, expect_mode=None):
         data = json.loads(text)
-        mode = data.get("mode")
-        if expect_mode is not None and mode is not None and mode != expect_mode:
-            raise ValueError(f"file declares mode {mode!r} but {expect_mode!r} requested")
-        rows = [
-            [I(v["I"]) if isinstance(v, dict) else R(v) for v in row]
-            for row in data["cells"]
-        ]
-        return cls(rows), mode
+        if not isinstance(data, dict) or "cells" not in data:
+            raise ValueError('neutrosophic JSON must be an object with a "cells" grid')
+        mode = _declared(data.get("mode"), expect_mode)
+        return cls(_leaves(data["cells"], _json_cell)), mode
 
 
 def _compose_pairs(mode, Pk, Pc, Qk, Qc):
@@ -286,7 +316,8 @@ def neutro_compose(mode, P: NeutroRelation, Q: NeutroRelation) -> NeutroRelation
     _check_mode(mode)
     if P.cols != Q.rows:
         raise ValueError(f"dimension mismatch: {P.rows}x{P.cols} vs {Q.rows}x{Q.cols}")
-    return NeutroRelation(_grades(*_compose_pairs(mode, *_pairs(P.cells), *_pairs(Q.cells))))
+    out = _compose_pairs(mode, P.indet, P.coeff, Q.indet, Q.coeff)
+    return _seal(object.__new__(NeutroRelation), *out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +333,12 @@ def _neutro_at(ka, ca, kb, cb):
 
 
 def _column_system(A_N: NeutroRelation, b_N):
-    """Pair arrays of A_N (m×n) and of b_N (1×n)."""
-    b_N = [as_neutro(v) for v in b_N]
-    if len(b_N) != A_N.cols:
-        raise ValueError(f"A has {A_N.cols} columns but b has {len(b_N)} entries")
-    return _pairs(A_N.cells) + _pairs([b_N])
+    """The arrays of A_N (m×n) and of b_N (1×n; a row or a column reads as
+    one row)."""
+    bk, bc = (arr.reshape(1, -1) for arr in _pair_grid(b_N, "b"))
+    if bc.size != A_N.cols:
+        raise ValueError(f"A has {A_N.cols} columns but b has {bc.size} entries")
+    return A_N.indet, A_N.coeff, bk, bc
 
 
 def nre_max_solution(A_N: NeutroRelation, b_N, mode):
@@ -321,7 +353,7 @@ def nre_max_solution(A_N: NeutroRelation, b_N, mode):
     # verify x ∘ A = b
     ik, ic = _compose_pairs(mode, xk[None], xc[None], Ak, Ac)
     if np.all((ik == bk) & (np.abs(ic - bc) <= TOL)):
-        return _grades(xk[None], xc[None])[0]
+        return [_grade(k, c) for k, c in zip(xk.tolist(), xc.tolist())]
     return None
 
 

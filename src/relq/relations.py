@@ -23,8 +23,6 @@ write.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .grades import MIN, PRODUCT, TOL, TNorm, check_grades, godel
@@ -72,13 +70,6 @@ class Relation:
     def __repr__(self):
         return f"Relation({self.cells.tolist()!r})"
 
-    # -- codecs -------------------------------------------------------------
-
-    def to_csv(self):
-        return "\n".join(
-            ",".join(repr(float(v)) for v in row) for row in self.cells
-        ) + "\n"
-
     @classmethod
     def from_csv(cls, text):
         rows = []
@@ -88,19 +79,6 @@ class Relation:
                 continue
             rows.append([float(tok) for tok in line.split(",")])
         return cls(rows)
-
-    def to_json(self):
-        return json.dumps(
-            {"rows": self.rows, "cols": self.cols, "cells": self.cells.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        rel = cls(data["cells"])
-        if rel.rows != data.get("rows", rel.rows) or rel.cols != data.get("cols", rel.cols):
-            raise ValueError("json rows/cols fields disagree with the cell grid")
-        return rel
 
 
 def _seal(rel, arr):

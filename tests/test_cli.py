@@ -326,3 +326,18 @@ def test_round_applies_to_json(capsys, tmp_path, argv, payload):
     floats = []
     json.loads(out, parse_float=lambda s: floats.append(s) or float(s))
     assert floats and all(len(s.partition(".")[2]) <= 2 for s in floats)
+
+
+def test_compose_neutro_json_reads_a_flat_grid_as_one_row(capsys, tmp_path):
+    p, q = tmp_path / "P.json", tmp_path / "Q.json"
+    p.write_text(json.dumps({"cells": ["1", "0"]}))
+    q.write_text(json.dumps({"cells": [["0.5"], ["I"]]}))
+    assert run(capsys, ["compose", str(p), str(q), "--mode", "graded"]) == (0, "0.5\n", "")
+
+
+def test_compose_neutro_json_names_a_bad_cell(capsys, tmp_path):
+    p = tmp_path / "P.json"
+    p.write_text(json.dumps({"cells": [[{"J": 0.5}]]}))
+    code, out, err = run(capsys, ["compose", str(p), str(p), "--mode", "graded"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: neutrosophic JSON cell {'J': 0.5} is not a number")
